@@ -19,7 +19,6 @@ from __future__ import annotations
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ConfigError, ContractError, DataError, ShapeError
 
@@ -210,8 +209,14 @@ def relu(x: Tensor) -> Tensor:
     return _emit(out, (x,), back)
 
 
+def _logistic(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)) in the dtype of x; exactly 0 or 1 far out in the tails."""
+    with np.errstate(over="ignore"):  # exp(-x) -> inf gives the exact 0
+        return 1 / (1 + np.exp(-x))
+
+
 def sigmoid(x: Tensor) -> Tensor:
-    s = expit(x.data)
+    s = _logistic(x.data)
 
     def back(g):
         return (g * s * (1 - s),)
@@ -430,10 +435,10 @@ def lstm(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor) -> Tensor:
     cache = []
     for t in range(steps):
         z = z_in[:, t, :] + h @ w_h.data + b.data
-        i = expit(z[:, :hidden])
-        f = expit(z[:, hidden : 2 * hidden])
+        i = _logistic(z[:, :hidden])
+        f = _logistic(z[:, hidden : 2 * hidden])
         cand = np.tanh(z[:, 2 * hidden : 3 * hidden])
-        o = expit(z[:, 3 * hidden :])
+        o = _logistic(z[:, 3 * hidden :])
         c_prev, h_prev = c, h
         c = f * c_prev + i * cand
         tc = np.tanh(c)

@@ -43,12 +43,39 @@ TRAIN_DEFAULTS = {
     "ngrams": "1,2",
 }
 
+#: JSON types a --config file may give each key; booleans count only where listed
+_CONFIG_TYPES = {
+    "preset": (str,),
+    "gamma": (int, float),
+    "epochs": (int,),
+    "lr": (int, float),
+    "batch_size": (int,),
+    "seed": (int,),
+    "max_len": (int, type(None)),
+    "use_case": (str, type(None)),
+    "raw_weights": (bool,),
+    "eval_every": (int,),
+    "alpha": (int, float),
+    "ngrams": (str, list),
+}
+
 
 def _int_pair(text: str) -> tuple[int, int]:
     parts = text.split(",")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError(f"expected LO,HI, got {text!r}")
     return int(parts[0]), int(parts[1])
+
+
+def _ngram_range(value) -> tuple[int, int]:
+    """The naive_bayes n-gram range from "LO,HI" or a JSON [LO, HI]."""
+    try:
+        lo, hi = _int_pair(value) if isinstance(value, str) else value
+    except (argparse.ArgumentTypeError, ValueError) as exc:
+        raise ConfigError(f"n-gram range must be LO,HI, got {value!r}") from exc
+    if not all(type(n) is int for n in (lo, hi)):
+        raise ConfigError(f"n-gram range must be two integers, got {value!r}")
+    return lo, hi
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -162,10 +189,19 @@ def _merge_train_options(args) -> dict:
     merged = dict(TRAIN_DEFAULTS)
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            file_cfg = json.load(fh)
+            try:
+                file_cfg = json.load(fh)
+            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                raise ConfigError(f"{args.config}: malformed JSON: {exc}") from exc
+        if not isinstance(file_cfg, dict):
+            raise ConfigError(f"{args.config}: expected a JSON object")
         unknown = set(file_cfg) - set(TRAIN_DEFAULTS)
         if unknown:
             raise ConfigError(f"unknown config keys {sorted(unknown)}")
+        for key, value in file_cfg.items():
+            allowed = _CONFIG_TYPES[key]
+            if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in allowed):
+                raise ConfigError(f"config key {key!r} has the wrong type: {value!r}")
         merged.update(file_cfg)
     for key in TRAIN_DEFAULTS:
         flag_value = getattr(args, key)
@@ -180,11 +216,9 @@ def _cmd_train(args) -> int:
     if opts["preset"] == "naive_bayes":
         if opts["gamma"]:
             print("note: naive_bayes ignores --gamma", file=sys.stderr)
-        lo, hi = (
-            opts["ngrams"] if isinstance(opts["ngrams"], (tuple, list))
-            else _int_pair(opts["ngrams"])
+        ckpt = tr.train_naive_bayes(
+            dataset, alpha=opts["alpha"], n_range=_ngram_range(opts["ngrams"])
         )
-        ckpt = tr.train_naive_bayes(dataset, alpha=opts["alpha"], n_range=(lo, hi))
     else:
         config = tr.TrainConfig(
             learning_rate=opts["lr"],

@@ -126,6 +126,11 @@ class GeneratorConfig:
             raise ConfigError(f"unknown split {self.split!r}")
         if self.n_legit < 1 or self.n_malicious < 1:
             raise ConfigError("class sizes must be >= 1")
+        for which, bounds in (("legit", self.legit_range), ("malicious", self.malicious_range)):
+            if bounds is not None and not 1 <= bounds[0] <= bounds[1]:
+                raise ConfigError(
+                    f"{which} range must be LO,HI with 1 <= LO <= HI, got {bounds[0]},{bounds[1]}"
+                )
 
 
 @dataclass
@@ -254,26 +259,29 @@ def load_csv(path, use_case: str | None = None, split: str | None = None) -> Lab
         handle = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
-    with handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file")
-        if [h.strip() for h in header] != ["text", "label"]:
-            raise ParseError(f"{path}: line 1: expected header 'text,label', got {header}")
-        for row in reader:
-            line = reader.line_num
-            if len(row) != 2:
-                raise ParseError(f"{path}: line {line}: expected 2 fields, got {len(row)}")
-            text, label = row
-            if label not in ("0", "1"):
-                raise ParseError(f"{path}: line {line}: label must be 0 or 1, got {label!r}")
-            if text in seen:
-                raise DataError(f"{path}: line {line}: duplicate text within split")
-            seen.add(text)
-            texts.append(text)
-            labels.append(int(label))
+    try:
+        with handle:
+            reader = csv.reader(handle)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise ParseError(f"{path}: empty file")
+            if [h.strip() for h in header] != ["text", "label"]:
+                raise ParseError(f"{path}: line 1: expected header 'text,label', got {header}")
+            for row in reader:
+                line = reader.line_num
+                if len(row) != 2:
+                    raise ParseError(f"{path}: line {line}: expected 2 fields, got {len(row)}")
+                text, label = row
+                if label not in ("0", "1"):
+                    raise ParseError(f"{path}: line {line}: label must be 0 or 1, got {label!r}")
+                if text in seen:
+                    raise DataError(f"{path}: line {line}: duplicate text within split")
+                seen.add(text)
+                texts.append(text)
+                labels.append(int(label))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not valid UTF-8: {exc}") from exc
     return LabeledDataset(tuple(texts), tuple(labels), use_case=use_case, split=split)
 
 

@@ -12,7 +12,9 @@ sequence:
   cnn_lstm  the cnn front-end feeding a 50-unit recurrence
 
 Weight init is uniform Glorot; the recurrent forget-gate bias starts at 1,
-the embedding pad row starts (and stays) at zero.
+the embedding pad row starts (and stays) at zero. ``parameter_table`` lists
+every array of a model without drawing any random numbers, so a checkpoint
+can be rebuilt without paying for an init it would overwrite.
 """
 
 from __future__ import annotations
@@ -178,11 +180,105 @@ def output_shapes(spec: ModelSpec) -> list[tuple[int, ...]]:
     return shapes
 
 
-def _glorot(rng: np.random.Generator, shape, fan_in: int, fan_out: int, dtype):
+@dataclass(frozen=True)
+class ParamEntry:
+    """One named array of a model: its shape and how it starts.
+
+    ``init`` is one of ``glorot`` (uniform over +-sqrt(6 / (fan_in + fan_out))),
+    ``embedding`` (glorot with the PAD row zeroed), ``zeros``, ``ones`` or
+    ``forget_bias`` (zeros with the forget-gate quarter at 1). Buffers are
+    not trained.
+    """
+
+    name: str
+    shape: tuple[int, ...]
+    init: str
+    fans: tuple[int, int] = (0, 0)
+    buffer: bool = False
+
+
+def model_spec(
+    preset: str, vocab_size: int, max_len: int, dims: PresetDims | None = None
+) -> ModelSpec:
+    """The layer stack of a preset, checked for a consistent chain; no weights."""
+    if vocab_size < 2:
+        raise ConfigError(f"vocab_size must be >= 2, got {vocab_size}")
+    if max_len < 3:
+        raise ConfigError(f"max_len must be >= 3, got {max_len}")
+    layers = _preset_layers(preset, dims or PresetDims())
+    spec = ModelSpec(layers=layers, vocab_size=vocab_size, max_len=max_len, preset=preset)
+    output_shapes(spec)  # raises on an inconsistent chain
+    return spec
+
+
+def parameter_table(spec: ModelSpec) -> tuple[ParamEntry, ...]:
+    """Every parameter and buffer of a model, in init draw order; draws nothing."""
+    entries: list[ParamEntry] = []
+    in_shape: tuple[int, ...] = (spec.max_len,)
+    for idx, (layer, out_shape) in enumerate(zip(spec.layers, output_shapes(spec))):
+        name = f"{idx:02d}.{layer.kind}"
+        if layer.kind == "embedding":
+            shape = (spec.vocab_size, layer.dim)
+            entries.append(ParamEntry(f"{name}.table", shape, "embedding", shape))
+        elif layer.kind == "dense":
+            shape = (in_shape[-1], layer.units)
+            entries += [
+                ParamEntry(f"{name}.w", shape, "glorot", shape),
+                ParamEntry(f"{name}.b", (layer.units,), "zeros"),
+            ]
+        elif layer.kind == "conv1d":
+            k, cin, cout = layer.kernel, in_shape[-1], layer.filters
+            entries += [
+                ParamEntry(f"{name}.kernels", (k, cin, cout), "glorot", (k * cin, k * cout)),
+                ParamEntry(f"{name}.bias", (cout,), "zeros"),
+            ]
+        elif layer.kind == "lstm":
+            dim, gates = in_shape[-1], 4 * layer.units
+            entries += [
+                ParamEntry(f"{name}.w_x", (dim, gates), "glorot", (dim, gates)),
+                ParamEntry(f"{name}.w_h", (layer.units, gates), "glorot", (layer.units, gates)),
+                ParamEntry(f"{name}.b", (gates,), "forget_bias"),
+            ]
+        elif layer.kind == "batchnorm":
+            feat = (in_shape[-1],)
+            entries += [
+                ParamEntry(f"{name}.scale", feat, "ones"),
+                ParamEntry(f"{name}.shift", feat, "zeros"),
+                ParamEntry(f"{name}.running_mean", feat, "zeros", buffer=True),
+                ParamEntry(f"{name}.running_var", feat, "ones", buffer=True),
+            ]
+        in_shape = out_shape
+    return tuple(entries)
+
+
+def _glorot(rng: np.random.Generator, shape, fan_in: int, fan_out: int, dtype) -> np.ndarray:
     bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return ad.Tensor(
-        rng.uniform(-bound, bound, size=shape).astype(dtype), requires_grad=True
-    )
+    return rng.uniform(-bound, bound, size=shape).astype(dtype)
+
+
+def _initial_value(entry: ParamEntry, rng: np.random.Generator, dtype) -> np.ndarray:
+    if entry.init in ("glorot", "embedding"):
+        arr = _glorot(rng, entry.shape, *entry.fans, dtype)
+        if entry.init == "embedding":
+            arr[PAD_ID] = 0.0
+        return arr
+    arr = (np.ones if entry.init == "ones" else np.zeros)(entry.shape, dtype=dtype)
+    if entry.init == "forget_bias":
+        hidden = entry.shape[0] // 4
+        arr[hidden : 2 * hidden] = 1.0  # forget gate starts open
+    return arr
+
+
+def assemble_parameters(spec: ModelSpec, arrays, seed: int = 0) -> Parameters:
+    """Wrap one array per ``parameter_table`` entry, uncopied, as a model's parameters."""
+    tensors: dict[str, ad.Tensor] = {}
+    buffers: dict[str, np.ndarray] = {}
+    for entry in parameter_table(spec):
+        if entry.buffer:
+            buffers[entry.name] = arrays[entry.name]
+        else:
+            tensors[entry.name] = ad.Tensor(arrays[entry.name], requires_grad=True)
+    return Parameters(tensors=tensors, buffers=buffers, seed=seed)
 
 
 def build_model(
@@ -194,48 +290,10 @@ def build_model(
     dtype=ad.DEFAULT_DTYPE,
 ) -> tuple[ModelSpec, Parameters]:
     """Assemble a preset and initialize its weights from the given seed."""
-    if vocab_size < 2:
-        raise ConfigError(f"vocab_size must be >= 2, got {vocab_size}")
-    if max_len < 3:
-        raise ConfigError(f"max_len must be >= 3, got {max_len}")
-    dims = dims or PresetDims()
-    layers = _preset_layers(preset, dims)
-    spec = ModelSpec(layers=layers, vocab_size=vocab_size, max_len=max_len, preset=preset)
-    shapes = output_shapes(spec)  # raises on an inconsistent chain
-
+    spec = model_spec(preset, vocab_size, max_len, dims)
     rng = np.random.default_rng(seed)
-    tensors: dict[str, ad.Tensor] = {}
-    buffers: dict[str, np.ndarray] = {}
-    in_shape: tuple[int, ...] = (max_len,)
-    for idx, layer in enumerate(layers):
-        name = f"{idx:02d}.{layer.kind}"
-        if layer.kind == "embedding":
-            table = _glorot(rng, (vocab_size, layer.dim), vocab_size, layer.dim, dtype)
-            table.data[PAD_ID] = 0.0
-            tensors[f"{name}.table"] = table
-        elif layer.kind == "dense":
-            fan_in = in_shape[-1]
-            tensors[f"{name}.w"] = _glorot(rng, (fan_in, layer.units), fan_in, layer.units, dtype)
-            tensors[f"{name}.b"] = ad.Tensor(np.zeros(layer.units, dtype=dtype), requires_grad=True)
-        elif layer.kind == "conv1d":
-            k, cin, cout = layer.kernel, in_shape[-1], layer.filters
-            tensors[f"{name}.kernels"] = _glorot(rng, (k, cin, cout), k * cin, k * cout, dtype)
-            tensors[f"{name}.bias"] = ad.Tensor(np.zeros(cout, dtype=dtype), requires_grad=True)
-        elif layer.kind == "lstm":
-            dim, hidden = in_shape[-1], layer.units
-            tensors[f"{name}.w_x"] = _glorot(rng, (dim, 4 * hidden), dim, 4 * hidden, dtype)
-            tensors[f"{name}.w_h"] = _glorot(rng, (hidden, 4 * hidden), hidden, 4 * hidden, dtype)
-            b = np.zeros(4 * hidden, dtype=dtype)
-            b[hidden : 2 * hidden] = 1.0  # forget gate starts open
-            tensors[f"{name}.b"] = ad.Tensor(b, requires_grad=True)
-        elif layer.kind == "batchnorm":
-            feat = in_shape[-1]
-            tensors[f"{name}.scale"] = ad.Tensor(np.ones(feat, dtype=dtype), requires_grad=True)
-            tensors[f"{name}.shift"] = ad.Tensor(np.zeros(feat, dtype=dtype), requires_grad=True)
-            buffers[f"{name}.running_mean"] = np.zeros(feat, dtype=dtype)
-            buffers[f"{name}.running_var"] = np.ones(feat, dtype=dtype)
-        in_shape = shapes[idx]
-    return spec, Parameters(tensors=tensors, buffers=buffers, seed=seed)
+    initial = {entry.name: _initial_value(entry, rng, dtype) for entry in parameter_table(spec)}
+    return spec, assemble_parameters(spec, initial, seed)
 
 
 def lstm_forward(params: Parameters, x: ad.Tensor, layer_name: str) -> ad.Tensor:

@@ -246,22 +246,23 @@ def train_naive_bayes(
     )
 
 
-def _rebuild_neural(ckpt: Checkpoint) -> tuple[models.ModelSpec, models.Parameters]:
+def _checkpoint_spec(ckpt: Checkpoint) -> models.ModelSpec:
+    """The layer stack a neural checkpoint declares, from its header alone."""
     dims_dict = dict(ckpt.hyperparameters.get("dims", {}))
     if "dnn_widths" in dims_dict:
         dims_dict["dnn_widths"] = tuple(dims_dict["dnn_widths"])
-    dims = models.PresetDims(**dims_dict) if dims_dict else models.PresetDims()
-    vocab = CharVocabulary(ckpt.vocab)
-    spec, params = models.build_model(
-        ckpt.preset, vocab.size, ckpt.max_len, seed=0, dims=dims
-    )
-    for name, t in params.tensors.items():
-        t.data = np.ascontiguousarray(ckpt.weights[name], dtype=t.data.dtype)
-    for name in params.buffers:
-        params.buffers[name] = np.ascontiguousarray(
-            ckpt.weights[name], dtype=params.buffers[name].dtype
-        )
-    return spec, params
+    dims = models.PresetDims(**dims_dict)
+    return models.model_spec(ckpt.preset, len(ckpt.vocab) + 2, ckpt.max_len, dims=dims)
+
+
+def _rebuild_neural(ckpt: Checkpoint) -> tuple[models.ModelSpec, models.Parameters]:
+    """The checkpoint's arrays as the model's parameters; no weight init runs."""
+    spec = _checkpoint_spec(ckpt)
+    arrays = {
+        name: np.ascontiguousarray(arr, dtype=ad.DEFAULT_DTYPE)
+        for name, arr in ckpt.weights.items()
+    }
+    return spec, models.assemble_parameters(spec, arrays)
 
 
 def _rebuild_nb(ckpt: Checkpoint) -> NaiveBayesModel:
@@ -363,16 +364,7 @@ def _expected_shapes(ckpt: Checkpoint) -> dict[str, tuple[int, ...]]:
     if ckpt.preset == "naive_bayes":
         v = len(ckpt.vocab)
         return {"class_log_prior": (2,), "token_log_prob": (2, v)}
-    dims_dict = dict(ckpt.hyperparameters.get("dims", {}))
-    if "dnn_widths" in dims_dict:
-        dims_dict["dnn_widths"] = tuple(dims_dict["dnn_widths"])
-    dims = models.PresetDims(**dims_dict) if dims_dict else models.PresetDims()
-    spec, params = models.build_model(
-        ckpt.preset, len(ckpt.vocab) + 2, ckpt.max_len, seed=0, dims=dims
-    )
-    expected = {name: t.shape for name, t in params.tensors.items()}
-    expected.update({name: arr.shape for name, arr in params.buffers.items()})
-    return expected
+    return {entry.name: entry.shape for entry in models.parameter_table(_checkpoint_spec(ckpt))}
 
 
 def load(path) -> Checkpoint:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -120,6 +122,21 @@ class TestElementwise:
     def test_sigmoid_at_zero(self):
         assert ad.sigmoid(ad.Tensor([0.0])).item() == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_saturates_exactly_without_warnings(self, dtype):
+        x = ad.Tensor(np.array([-1e4, -1e4, 1e4, 1e4], dtype=dtype))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = ad.sigmoid(x)
+        assert out.dtype == dtype
+        np.testing.assert_array_equal(out.data, [0.0, 0.0, 1.0, 1.0])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_matches_float64_closed_form(self, dtype):
+        x = np.concatenate([np.linspace(-30.0, 30.0, 601), [-80.0, -17.3, 17.3, 80.0]]).astype(dtype)
+        expected = 1.0 / (1.0 + np.exp(-x.astype(np.float64)))
+        np.testing.assert_allclose(ad.sigmoid(ad.Tensor(x)).data, expected, rtol=1e-6)
+
     def test_relu(self):
         out = ad.relu(ad.Tensor([-3.0, 3.0]))
         np.testing.assert_array_equal(out.data, [0.0, 3.0])
@@ -148,6 +165,8 @@ class TestElementwise:
         x = t64(rng.uniform(0.2, 0.8, size=6))
         for op in (ad.sigmoid, ad.tanh, ad.log):
             assert ad.grad_check(lambda v: ad.tsum(op(v)), x) < 1e-8
+        tails = t64([-12.0, -3.0, -0.5, 0.0, 0.5, 3.0, 12.0])
+        assert ad.grad_check(lambda v: ad.tsum(ad.sigmoid(v)), tails) < 1e-8
 
 
 class TestBatchnorm:
@@ -367,17 +386,17 @@ class TestLstmOp:
         assert out.item() == pytest.approx(expected, rel=1e-12)
 
     def test_gradients_through_five_steps(self):
-        rng = np.random.default_rng(21)
-        x = t64(rng.standard_normal((2, 5, 3)) * 0.5)
-        wx = t64(rng.standard_normal((3, 16)) * 0.4)
-        wh = t64(rng.standard_normal((4, 16)) * 0.4)
-        b = t64(rng.standard_normal(16) * 0.1)
-        r = ad.Tensor(rng.standard_normal((2, 4)))
-
         def f(x_, wx_, wh_, b_):
             return ad.tsum(ad.mul(ad.lstm(x_, wx_, wh_, b_), r))
 
-        assert ad.grad_check(f, [x, wx, wh, b]) < 1e-4
+        for gain in (1.0, 4.0):  # 4.0 drives the gates deep into saturation
+            rng = np.random.default_rng(21)
+            x = t64(rng.standard_normal((2, 5, 3)) * 0.5 * gain)
+            wx = t64(rng.standard_normal((3, 16)) * 0.4 * gain)
+            wh = t64(rng.standard_normal((4, 16)) * 0.4 * gain)
+            b = t64(rng.standard_normal(16) * 0.1 * gain)
+            r = ad.Tensor(rng.standard_normal((2, 4)))
+            assert ad.grad_check(f, [x, wx, wh, b]) < 1e-4
 
 
 class TestEmbeddingOp:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -49,6 +53,15 @@ class TestGenData:
             "--malicious", "5", "--seed", "1", "--out", str(tmp_path / "x.csv"),
         )
         assert code == 0 and out == "" and "wrote" in err
+
+
+    def test_inverted_range_is_usage_error(self, capsys, tmp_path):
+        code, _, err = run_cli(
+            capsys, "gen-data", "--use-case", "dga", "--legit", "5", "--malicious", "5",
+            "--legit-range", "5,1", "--out", str(tmp_path / "x.csv"),
+        )
+        assert code == 2 and err.startswith("error:")
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestWeights:
@@ -138,6 +151,29 @@ class TestTrainEvaluatePredict:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "text", ['{"epochs": ', '{"epochs": "five"}', '{"raw_weights": 1}', '[1, 2]'],
+        ids=["malformed", "string-epochs", "int-flag", "not-object"],
+    )
+    def test_bad_config_file_is_usage_error(self, capsys, toy_corpus, tmp_path, text):
+        _, train_csv, _, _ = toy_corpus
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(text)
+        code, _, err = run_cli(
+            capsys, "train", "--train", str(train_csv), "--config", str(cfg),
+            "--out", str(tmp_path / "x.ckpt"),
+        )
+        assert code == 2 and err.startswith("error:")
+
+    @pytest.mark.parametrize("ngrams", ["1,x", "3", "2,1"])
+    def test_bad_ngram_range_is_usage_error(self, capsys, toy_corpus, tmp_path, ngrams):
+        _, train_csv, _, _ = toy_corpus
+        code, _, err = run_cli(
+            capsys, "train", "--train", str(train_csv), "--preset", "naive_bayes",
+            "--ngrams", ngrams, "--out", str(tmp_path / "x.ckpt"),
+        )
+        assert code == 2 and err.startswith("error:")
+
     def test_naive_bayes_preset(self, capsys, toy_corpus, tmp_path):
         _, train_csv, test_csv, _ = toy_corpus
         nb_path = tmp_path / "nb.ckpt"
@@ -164,6 +200,14 @@ class TestErrorsAndHelp:
         )
         assert code == 1
 
+    def test_non_utf8_csv_is_data_error(self, capsys, toy_corpus, tmp_path):
+        _, _, _, model = toy_corpus
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"text,label\nok.com,0\n\xff.com,1\n")
+        code, out, err = run_cli(capsys, "evaluate", "--model", str(model), "--test", str(bad))
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and str(bad) in err
+
     def test_bad_gamma_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "weights", "--counts", "5,5", "--gamma", "7")
         assert code == 2
@@ -182,3 +226,10 @@ class TestErrorsAndHelp:
         assert code == 0
         payload = json.loads(out)
         assert payload["preset_cnn"] < 1e-4
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    code = "import sys, costnet.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "[]"

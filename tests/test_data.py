@@ -67,6 +67,15 @@ class TestLoadCsv:
         with pytest.raises(DataError):
             load_csv(tmp_path / "nope.csv")
 
+    @pytest.mark.parametrize(
+        "body", [b"\xfftext,label\n", b"text,label\nok.com,0\nb\xffd.com,1\n"], ids=["header", "row"]
+    )
+    def test_non_utf8_bytes_name_the_path(self, tmp_path, body):
+        path = tmp_path / "d.csv"
+        path.write_bytes(body)
+        with pytest.raises(ParseError, match=r"d\.csv: not valid UTF-8"):
+            load_csv(path)
+
     def test_quoted_round_trip(self, tmp_path):
         ds = LabeledDataset(
             texts=("hello, world", 'line\nbreak and "quotes"', "plain"),
@@ -147,6 +156,16 @@ class TestGenerator:
             GeneratorConfig("dga", 0, 1, seed=0)
         with pytest.raises(ConfigError):
             GeneratorConfig("dga", 1, 1, seed=0, split="dev")
+
+    @pytest.mark.parametrize("bounds", [(5, 1), (0, 3), (-2, -1)])
+    @pytest.mark.parametrize("which", ["legit_range", "malicious_range"])
+    def test_bad_length_range(self, which, bounds):
+        with pytest.raises(ConfigError, match="1 <= LO <= HI"):
+            GeneratorConfig("dga", 1, 1, seed=0, **{which: bounds})
+
+    def test_single_value_range_accepted(self):
+        ds = gen_synthetic(GeneratorConfig("dga", 3, 3, seed=0, legit_range=(1, 1)))
+        assert len(ds) == 6
 
     def test_email_texts_look_like_word_bags(self):
         ds = gen_synthetic(GeneratorConfig("email", 20, 20, seed=2))

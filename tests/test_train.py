@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 
 import numpy as np
@@ -241,3 +242,53 @@ class TestPersistence:
         ckpt = train.train_naive_bayes(tr)
         report = train.evaluate(ckpt, te)
         assert report["precision"] > report["recall"]
+
+
+def _refuse_init(*args, **kwargs):
+    raise AssertionError("weight init ran while rebuilding a checkpoint")
+
+
+@pytest.fixture(scope="module")
+def saved_presets(tmp_path_factory):
+    """One trained checkpoint per neural preset, in memory and on disk."""
+    root = tmp_path_factory.mktemp("rebuild")
+    saved = {}
+    for preset in models.PRESETS:
+        ckpt, _ = train.train(small_dga(), tiny_config(preset=preset, epochs=1))
+        path = root / f"{preset}.ckpt"
+        train.save(ckpt, path)
+        saved[preset] = (ckpt, path)
+    return saved
+
+
+class TestInitFreeRebuild:
+    @pytest.mark.parametrize("preset", models.PRESETS)
+    def test_load_predict_evaluate_draw_no_init(self, saved_presets, monkeypatch, preset):
+        ckpt, path = saved_presets[preset]
+        test = small_dga(n=10, seed=30, split="test")
+        expected = [train.predict_probability(ckpt, t) for t in test.texts]
+        report = train.evaluate(ckpt, test)
+        monkeypatch.setattr(models, "_glorot", _refuse_init)
+        loaded = train.load(path)
+        got = [train.predict_probability(loaded, t) for t in test.texts]
+        assert np.array(got).tobytes() == np.array(expected).tobytes()
+        assert train.evaluate(loaded, test) == report
+
+    @pytest.mark.parametrize("preset", models.PRESETS)
+    @pytest.mark.parametrize("fault", ["shape", "unknown", "missing"])
+    def test_tampered_manifest_rejected(self, saved_presets, monkeypatch, tmp_path, preset, fault):
+        ckpt, _ = saved_presets[preset]
+        weights = dict(ckpt.weights)
+        name = sorted(weights)[-1]
+        if fault == "shape":
+            weights[name] = np.concatenate([weights[name], weights[name][:1]])
+        elif fault == "unknown":
+            weights["99.dense.w"] = np.zeros((2, 1), dtype=np.float32)
+        else:
+            del weights[name]
+        path = tmp_path / "m.ckpt"
+        train.save(dataclasses.replace(ckpt, weights=weights), path)
+        monkeypatch.setattr(models, "_glorot", _refuse_init)
+        message = {"shape": "has shape", "unknown": "unexpected", "missing": "missing"}[fault]
+        with pytest.raises(CheckpointShapeError, match=message):
+            train.load(path)

@@ -313,7 +313,7 @@ def embedding(table: Tensor, ids: np.ndarray, pad_id: int | None = 0) -> Tensor:
     """Gather rows of ``table`` by integer id.
 
     Gradient scatters back with accumulation over repeated ids; the pad row
-    (if given) is kept frozen by dropping its gradient.
+    (if given) is kept frozen by skipping its positions in the scatter.
     """
     ids = np.asarray(ids)
     if ids.min(initial=0) < 0 or (ids.size and ids.max() >= table.shape[0]):
@@ -326,9 +326,12 @@ def embedding(table: Tensor, ids: np.ndarray, pad_id: int | None = 0) -> Tensor:
         if not table.requires_grad:
             return (None,)
         dt = np.zeros_like(table.data)
-        np.add.at(dt, ids.reshape(-1), g.reshape(-1, table.shape[1]))
+        flat_ids, rows = ids.reshape(-1), g.reshape(-1, table.shape[1])
         if pad_id is not None:
-            dt[pad_id] = 0
+            # the remaining rows keep their order, so each sum is unchanged
+            keep = flat_ids != pad_id
+            flat_ids, rows = flat_ids[keep], rows[keep]
+        np.add.at(dt, flat_ids, rows)
         return (dt,)
 
     return _emit(out, (table,), back)

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import json
 import logging
+import math
+import os
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -76,6 +78,11 @@ class TrainConfig:
             raise ConfigError(f"gamma must be in [0, 1], got {self.gamma}")
 
 
+# Elements per block of the Adam update: four float32 blocks (p, g, m, v) plus
+# the two scratch blocks stay in L2. 16 K to 128 K elements time within 10 %.
+_ADAM_BLOCK = 1 << 15
+
+
 class AdamState:
     """First/second moment accumulators plus the shared step counter."""
 
@@ -86,6 +93,17 @@ class AdamState:
         self.t = 0
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
+        self._scratch: dict[np.dtype, tuple[np.ndarray, np.ndarray]] = {}
+
+    def scratch(self, dtype) -> tuple[np.ndarray, np.ndarray]:
+        """Two block-sized work vectors of ``dtype``, allocated on first use."""
+        pair = self._scratch.get(dtype)
+        if pair is None:
+            pair = self._scratch[dtype] = (
+                np.empty(_ADAM_BLOCK, dtype=dtype),
+                np.empty(_ADAM_BLOCK, dtype=dtype),
+            )
+        return pair
 
 
 def adam_step(
@@ -94,29 +112,50 @@ def adam_step(
     state: AdamState,
     lr: float,
 ) -> None:
-    """One in-place update: m,v decay, bias correction, then the step."""
+    """One in-place update: m,v decay, bias correction, then the step.
+
+    Each parameter is walked in blocks of ``_ADAM_BLOCK`` elements, so its
+    data stays in cache and no temporary of parameter size is made. Within a
+    block the operations are those of the textbook formula
+    ``p -= lr * (m / bias1) / (sqrt(v / bias2) + eps)`` in the same order and
+    precision, so the result is bit-identical to evaluating it whole-array.
+    A missing gradient counts as zeros.
+    """
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2, eps = state.beta1, state.beta2, state.eps
     bias1 = 1.0 - b1**state.t
     bias2 = 1.0 - b2**state.t
     for name, p in params.items():
         g = grads.get(name)
-        if g is None:
-            g = np.zeros_like(p.data)
-        if g.shape != p.data.shape:
+        if g is not None and g.shape != p.data.shape:
             raise ContractError(f"gradient shape {g.shape} != param {p.data.shape} for {name}")
-        m = state.m.get(name)
-        if m is None:
-            m = state.m[name] = np.zeros_like(p.data)
+        if name not in state.m:
+            state.m[name] = np.zeros_like(p.data)
             state.v[name] = np.zeros_like(p.data)
-        v = state.v[name]
-        m *= b1
-        m += (1 - b1) * g
-        v *= b2
-        v += (1 - b2) * (g * g)
-        m_hat = m / bias1
-        v_hat = v / bias2
-        p.data -= (lr * m_hat / (np.sqrt(v_hat) + state.eps)).astype(p.data.dtype)
+        # flat views: Tensor data, and so m and v, are C-contiguous
+        pf = p.data.reshape(-1)
+        mf = state.m[name].reshape(-1)
+        vf = state.v[name].reshape(-1)
+        gf = np.broadcast_to(pf.dtype.type(0), pf.shape) if g is None else g.reshape(-1)
+        s1, s2 = state.scratch(pf.dtype)
+        for lo in range(0, pf.size, _ADAM_BLOCK):
+            hi = lo + _ADAM_BLOCK
+            pb, gb, mb, vb = pf[lo:hi], gf[lo:hi], mf[lo:hi], vf[lo:hi]
+            a, b = s1[: pb.size], s2[: pb.size]
+            mb *= b1
+            np.multiply(gb, 1 - b1, out=a)
+            mb += a
+            vb *= b2
+            np.multiply(gb, gb, out=a)
+            a *= 1 - b2
+            vb += a
+            np.divide(vb, bias2, out=a)
+            np.sqrt(a, out=a)
+            a += eps
+            np.divide(mb, bias1, out=b)
+            b *= lr
+            b /= a
+            pb -= b
 
 
 def epoch_batches(n: int, batch_size: int, rng: np.random.Generator) -> list[np.ndarray]:
@@ -367,31 +406,124 @@ def _expected_shapes(ckpt: Checkpoint) -> dict[str, tuple[int, ...]]:
     return {entry.name: entry.shape for entry in models.parameter_table(_checkpoint_spec(ckpt))}
 
 
-def load(path) -> Checkpoint:
-    """Parse and validate a container; refuses to return a partial model."""
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise CheckpointError(f"cannot read {path}: {exc}") from exc
-    sep = raw.find(b"\x00")
-    if sep < 0:
-        raise CheckpointTruncatedError(f"{path}: no header terminator found")
-    try:
-        header = json.loads(raw[:sep].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"{path}: malformed header: {exc}") from exc
+# every field of a checkpoint header with the JSON types ``save`` writes;
+# ``history`` and ``manifest`` may be absent
+_HEADER_TYPES = {
+    "preset": (str,),
+    "use_case": (str, type(None)),
+    "max_len": (int, type(None)),
+    "vocab": (list,),
+    "hyperparameters": (dict,),
+    "history": (list,),
+    "manifest": (list,),
+}
+
+
+def _is_count(value) -> bool:
+    return type(value) is int and value >= 0
+
+
+def _has_type_of(value, example) -> bool:
+    """Whether a JSON value has the type of ``example``; an int passes for a float."""
+    if isinstance(example, tuple):
+        return isinstance(value, list) and all(_has_type_of(v, example[0]) for v in value)
+    if isinstance(example, float):
+        return type(value) in (int, float)
+    return type(value) is type(example)
+
+
+def _check_header(header, path) -> None:
+    """Refuse a header that does not have the layout ``save`` writes."""
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: header is not a JSON object")
     version = header.get("format_version")
     if version != FORMAT_VERSION:
         raise CheckpointVersionError(
             f"{path}: unsupported format version {version!r}, expected {FORMAT_VERSION}"
         )
-    blob = raw[sep + 1 :]
-    manifest = header.get("manifest", [])
+    header.setdefault("history", [])
+    header.setdefault("manifest", [])
+    for key, types in _HEADER_TYPES.items():
+        if key not in header:
+            raise CheckpointError(f"{path}: header has no {key!r}")
+        if type(header[key]) not in types:
+            raise CheckpointError(
+                f"{path}: header field {key!r} is a {type(header[key]).__name__}"
+            )
+    if not all(type(token) is str for token in header["vocab"]):
+        raise CheckpointError(f"{path}: vocab holds a non-string entry")
+    for entry in header["manifest"]:
+        if not (
+            type(entry) is list
+            and len(entry) == 5
+            and type(entry[0]) is str
+            and type(entry[1]) is list
+            and all(map(_is_count, entry[1]))
+            and _is_count(entry[2])
+            and _is_count(entry[3])
+            and type(entry[4]) is str
+        ):
+            raise CheckpointError(
+                f"{path}: manifest entry {entry!r} is not [name, shape, offset, length, dtype]"
+            )
+    hyper = header["hyperparameters"]
+    if header["preset"] == "naive_bayes":
+        n_range = hyper.get("n_range")
+        if not (_has_type_of(hyper.get("alpha"), 1.0) and _has_type_of(n_range, (1,))
+                and len(n_range) == 2 and 1 <= n_range[0] <= n_range[1]):
+            raise CheckpointError(f"{path}: naive_bayes needs a number alpha and an n_range LO,HI")
+        return
+    if header["max_len"] is None:
+        raise CheckpointError(f"{path}: header field 'max_len' is missing a value")
+    dims = hyper.get("dims", {})
+    defaults = asdict(models.PresetDims())
+    if not isinstance(dims, dict) or not all(
+        key in defaults and _has_type_of(value, defaults[key]) for key, value in dims.items()
+    ):
+        raise CheckpointError(f"{path}: malformed dims {dims!r}")
+
+
+def _read_header(fh, path) -> tuple[dict, int]:
+    """The checked header and the file offset at which the weight section starts."""
+    parts = []
+    while True:
+        chunk = fh.read(1 << 16)
+        if not chunk:
+            raise CheckpointTruncatedError(f"{path}: no header terminator found")
+        sep = chunk.find(b"\x00")
+        if sep >= 0:
+            parts.append(chunk[:sep])
+            break
+        parts.append(chunk)
+    raw = b"".join(parts)
+    try:
+        header = json.loads(raw.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CheckpointError(f"{path}: malformed header: {exc}") from exc
+    _check_header(header, path)
+    return header, len(raw) + 1
+
+
+def load(path) -> Checkpoint:
+    """Parse and validate a container; refuses to return a partial model.
+
+    Each weight blob is read straight into its own fresh, aligned array.
+    """
+    try:
+        with open(path, "rb") as fh:
+            return _read_checkpoint(fh, path)
+    except OSError as exc:
+        raise CheckpointError(f"cannot read {path}: {exc}") from exc
+
+
+def _read_checkpoint(fh, path) -> Checkpoint:
+    header, start = _read_header(fh, path)
+    blob_size = os.fstat(fh.fileno()).st_size - start
+    manifest = header["manifest"]
     total = sum(entry[3] for entry in manifest)
-    if total != len(blob):
+    if total != blob_size:
         raise CheckpointTruncatedError(
-            f"{path}: weight section holds {len(blob)} bytes, manifest expects {total}"
+            f"{path}: weight section holds {blob_size} bytes, manifest expects {total}"
         )
     ckpt = Checkpoint(
         preset=header["preset"],
@@ -400,15 +532,17 @@ def load(path) -> Checkpoint:
         vocab=tuple(header["vocab"]),
         hyperparameters=header["hyperparameters"],
         weights={},
-        history=header.get("history", []),
+        history=header["history"],
     )
-    expected = _expected_shapes(ckpt)
+    try:
+        expected = _expected_shapes(ckpt)
+    except ConfigError as exc:
+        raise CheckpointError(f"{path}: header describes no valid model: {exc}") from exc
     dtype = _blob_dtype(ckpt.preset)
-    seen = set()
     for name, shape, offset, length, entry_dtype in manifest:
         shape = tuple(shape)
-        if name not in expected:
-            raise CheckpointShapeError(f"{path}: unexpected weight {name!r}")
+        if name not in expected or name in ckpt.weights:
+            raise CheckpointShapeError(f"{path}: unexpected or repeated weight {name!r}")
         if shape != expected[name]:
             raise CheckpointShapeError(
                 f"{path}: weight {name!r} has shape {shape}, expected {expected[name]}"
@@ -417,14 +551,14 @@ def load(path) -> Checkpoint:
             raise CheckpointShapeError(
                 f"{path}: weight {name!r} stored as {entry_dtype}, expected {dtype}"
             )
-        want = int(np.prod(shape, dtype=np.int64)) * np.dtype(dtype).itemsize
-        if length != want or offset + length > len(blob):
+        if length != math.prod(shape) * np.dtype(dtype).itemsize or offset + length > blob_size:
             raise CheckpointTruncatedError(f"{path}: weight {name!r} blob out of bounds")
-        arr = np.frombuffer(blob, dtype=dtype, count=want // np.dtype(dtype).itemsize,
-                            offset=offset).reshape(shape).copy()
+        arr = np.empty(shape, dtype=dtype)
+        fh.seek(start + offset)
+        if fh.readinto(arr) != length:
+            raise CheckpointTruncatedError(f"{path}: weight {name!r} blob cut short")
         ckpt.weights[name] = arr
-        seen.add(name)
-    missing = set(expected) - seen
+    missing = set(expected) - set(ckpt.weights)
     if missing:
         raise CheckpointShapeError(f"{path}: missing weights {sorted(missing)}")
     return ckpt

@@ -58,6 +58,7 @@ def test_criterion_2_reported_table_sweep():
     assert checked == len(REPORTED_ROWS) - 2
 
 
+@pytest.mark.slow
 def test_criterion_3_cost_sensitivity_lifts_recall():
     # the published headline numbers are not reproducible (private feeds);
     # this is the substituted property: 20:1 imbalance, 5 seeds, gamma=1

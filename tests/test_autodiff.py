@@ -426,3 +426,33 @@ class TestEmbeddingOp:
             return ad.tsum(ad.mul(ad.embedding(tb, ids, pad_id=0), r))
 
         assert ad.grad_check(f, table) < 1e-6
+
+    def test_gradient_with_pad_ids_unfrozen(self):
+        rng = np.random.default_rng(32)
+        table = t64(rng.standard_normal((4, 3)))
+        ids = np.array([[0, 2, 0], [2, 0, 1]])
+        r = ad.Tensor(rng.standard_normal((2, 3, 3)))
+
+        def f(tb):
+            return ad.tsum(ad.mul(ad.embedding(tb, ids, pad_id=None), r))
+
+        assert ad.grad_check(f, table) < 1e-6
+
+    @pytest.mark.parametrize("case", ["repeated", "all-pad", "no-pad-id"])
+    def test_scatter_bit_identical_to_dense_scatter(self, case):
+        rng = np.random.default_rng(33)
+        table = ad.Tensor(rng.standard_normal((6, 5)).astype(np.float32), requires_grad=True)
+        ids = rng.integers(0, 3, size=(32, 40))  # few rows, many repeats, ~1/3 pad
+        pad_id = None if case == "no-pad-id" else 0
+        if case == "all-pad":
+            ids[:] = 0
+        r = ad.Tensor(rng.standard_normal((32, 40, 5)).astype(np.float32))
+        with ad.Tape() as tape:
+            loss = ad.tsum(ad.mul(ad.embedding(table, ids, pad_id=pad_id), r))
+        got = tape.gradients(loss)[table]
+        # the scatter of every position into a dense table, pad row zeroed after
+        want = np.zeros_like(table.data)
+        np.add.at(want, ids.reshape(-1), r.data.reshape(-1, 5))
+        if pad_id is not None:
+            want[pad_id] = 0
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

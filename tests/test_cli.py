@@ -228,6 +228,44 @@ class TestErrorsAndHelp:
         assert payload["preset_cnn"] < 1e-4
 
 
+def _tampered(header, fault):
+    """The header of a saved checkpoint with one field broken."""
+    if fault == "no-preset":
+        del header["preset"]
+    elif fault == "unknown-dims-key":
+        header["hyperparameters"]["dims"]["bogus"] = 1
+    elif fault == "short-manifest-entry":
+        header["manifest"][0] = header["manifest"][0][:3]
+    elif fault == "string-max-len":
+        header["max_len"] = str(header["max_len"])
+    elif fault == "list-header":
+        header = [header]
+    elif fault == "int-vocab":
+        header["vocab"] = 5
+    elif fault == "negative-offset":
+        header["manifest"][0][2] = -4
+    return header
+
+
+@pytest.mark.parametrize("fault", [
+    "no-preset", "unknown-dims-key", "short-manifest-entry", "string-max-len",
+    "list-header", "int-vocab", "negative-offset",
+])
+def test_tampered_header_is_clean_error(toy_corpus, tmp_path, fault):
+    _, _, _, model = toy_corpus
+    head, blob = model.read_bytes().split(b"\x00", 1)
+    header = _tampered(json.loads(head), fault)
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(json.dumps(header).encode("utf-8") + b"\x00" + blob)
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-m", "costnet", "predict", "--model", str(bad), "--text", "a.com"],
+        capture_output=True, text=True, env=env,
+    )
+    assert out.returncode == 1
+    assert out.stderr.startswith("error:") and "Traceback" not in out.stderr
+
+
 def test_cli_import_leaves_scipy_unloaded():
     code = "import sys, costnet.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))

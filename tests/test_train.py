@@ -1,5 +1,6 @@
 import dataclasses
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from costnet import autodiff as ad
 from costnet import models, trainer as train
 from costnet.data import GeneratorConfig, LabeledDataset, gen_synthetic
 from costnet.errors import (
+    CheckpointError,
     CheckpointShapeError,
     CheckpointTruncatedError,
     CheckpointVersionError,
@@ -65,6 +67,77 @@ class TestAdam:
         p = {"w": ad.Tensor(np.zeros(3), requires_grad=True)}
         with pytest.raises(ContractError):
             train.adam_step(p, {"w": np.zeros(4)}, train.AdamState(), lr=0.1)
+
+
+def reference_adam_step(params, grads, state, lr):
+    """Adam evaluated whole-array, one temporary per operation."""
+    state.t += 1
+    b1, b2 = state.beta1, state.beta2
+    bias1 = 1.0 - b1**state.t
+    bias2 = 1.0 - b2**state.t
+    for name, p in params.items():
+        g = grads.get(name)
+        if g is None:
+            g = np.zeros_like(p.data)
+        m = state.m.setdefault(name, np.zeros_like(p.data))
+        v = state.v.setdefault(name, np.zeros_like(p.data))
+        m *= b1
+        m += (1 - b1) * g
+        v *= b2
+        v += (1 - b2) * (g * g)
+        m_hat = m / bias1
+        v_hat = v / bias2
+        p.data -= (lr * m_hat / (np.sqrt(v_hat) + state.eps)).astype(p.data.dtype)
+
+
+class TestBlockedAdam:
+    B = train._ADAM_BLOCK
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bit_identical_to_whole_array_formula(self, dtype):
+        rng = np.random.default_rng(11)
+        sizes = {"one": (1,), "under": (7, (self.B - 1) // 7), "block": (self.B,),
+                 "over": (3 * self.B + 7,)}
+        init = {k: rng.standard_normal(s).astype(dtype) for k, s in sizes.items()}
+        ours = {k: ad.Tensor(a.copy(), requires_grad=True) for k, a in init.items()}
+        ref = {k: ad.Tensor(a.copy(), requires_grad=True) for k, a in init.items()}
+        s_ours, s_ref = train.AdamState(), train.AdamState()
+        for _ in range(5):
+            # gradients over many scales; "under" never gets one
+            grads = {k: (rng.standard_normal(s) * 10.0 ** rng.integers(-6, 3, s)).astype(dtype)
+                     for k, s in sizes.items() if k != "under"}
+            train.adam_step(ours, grads, s_ours, lr=0.003)
+            reference_adam_step(ref, grads, s_ref, lr=0.003)
+        for k in sizes:
+            assert ours[k].data.dtype == dtype
+            assert ours[k].data.tobytes() == ref[k].data.tobytes(), k
+            assert s_ours.m[k].tobytes() == s_ref.m[k].tobytes(), k
+            assert s_ours.v[k].tobytes() == s_ref.v[k].tobytes(), k
+
+    def test_warm_step_allocates_nothing_parameter_sized(self):
+        n = 1 << 20
+        p = {"w": ad.Tensor(np.ones(n, dtype=np.float32), requires_grad=True)}
+        g = {"w": np.full(n, 0.5, dtype=np.float32)}
+        state = train.AdamState()
+        train.adam_step(p, g, state, lr=0.01)  # allocates m, v and the scratch
+        tracemalloc.start()
+        try:
+            train.adam_step(p, g, state, lr=0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000  # the parameter alone is 4 MB
+
+    @pytest.mark.parametrize("preset", ["dnn", "lstm"])
+    def test_checkpoint_bytes_match_whole_array_formula(self, monkeypatch, tmp_path, preset):
+        ds = small_dga()
+        cfg = tiny_config(preset=preset, epochs=2, gamma=1.0)
+        ckpt, _ = train.train(ds, cfg)
+        train.save(ckpt, tmp_path / "blocked.ckpt")
+        monkeypatch.setattr(train, "adam_step", reference_adam_step)
+        ckpt, _ = train.train(ds, cfg)
+        train.save(ckpt, tmp_path / "whole.ckpt")
+        assert (tmp_path / "blocked.ckpt").read_bytes() == (tmp_path / "whole.ckpt").read_bytes()
 
 
 class TestEpochBatches:
@@ -233,6 +306,15 @@ class TestPersistence:
         assert before == after
         train.save(loaded, tmp_path / "nb2.ckpt")
         assert path.read_bytes() == (tmp_path / "nb2.ckpt").read_bytes()
+
+    @pytest.mark.parametrize("n_range", [[3, 1], [0, 2], [1], "1,2"])
+    def test_nb_bad_ngram_range_rejected(self, tmp_path, n_range):
+        ckpt = train.train_naive_bayes(small_dga())
+        ckpt.hyperparameters["n_range"] = n_range
+        path = tmp_path / "nb.ckpt"
+        train.save(ckpt, path)
+        with pytest.raises(CheckpointError, match="n_range"):
+            train.load(path)
 
     def test_nb_on_imbalanced_synthetic_shows_precision_over_recall(self):
         tr = gen_synthetic(GeneratorConfig("dga", 2000, 100, seed=21, split="train",

@@ -296,16 +296,6 @@ def build_model(
     return spec, assemble_parameters(spec, initial, seed)
 
 
-def lstm_forward(params: Parameters, x: ad.Tensor, layer_name: str) -> ad.Tensor:
-    """Run the named recurrent layer over [batch, len, dim], final state only."""
-    return ad.lstm(
-        x,
-        params.tensors[f"{layer_name}.w_x"],
-        params.tensors[f"{layer_name}.w_h"],
-        params.tensors[f"{layer_name}.b"],
-    )
-
-
 def forward(
     spec: ModelSpec,
     params: Parameters,
@@ -348,7 +338,12 @@ def forward(
         elif layer.kind == "maxpool1d":
             h = ad.maxpool1d(h, layer.pool)
         elif layer.kind == "lstm":
-            h = lstm_forward(params, h, name)
+            h = ad.lstm(
+                h,
+                params.tensors[f"{name}.w_x"],
+                params.tensors[f"{name}.w_h"],
+                params.tensors[f"{name}.b"],
+            )
         elif layer.kind == "flatten":
             h = ad.reshape(h, (h.shape[0], -1))
         elif layer.kind == "mean_pool":

@@ -362,7 +362,118 @@ class TestInvariantsAndHygiene:
         assert tape.gradients(loss)[x].shape == (6,)
 
 
+def per_step_lstm(x, w_x, w_h, b):
+    """Reference: the step-by-step lstm op, one set of small GEMMs per step."""
+    def logistic(v):
+        with np.errstate(over="ignore"):
+            return 1 / (1 + np.exp(-v))
+
+    batch, steps, dim = x.shape
+    hidden = w_h.shape[0]
+    h = np.zeros((batch, hidden), dtype=x.dtype)
+    c = np.zeros((batch, hidden), dtype=x.dtype)
+    z_in = (x.data.reshape(batch * steps, dim) @ w_x.data).reshape(batch, steps, 4 * hidden)
+    cache = []
+    for t in range(steps):
+        z = z_in[:, t, :] + h @ w_h.data + b.data
+        i = logistic(z[:, :hidden])
+        f = logistic(z[:, hidden : 2 * hidden])
+        cand = np.tanh(z[:, 2 * hidden : 3 * hidden])
+        o = logistic(z[:, 3 * hidden :])
+        c_prev, h_prev = c, h
+        c = f * c_prev + i * cand
+        tc = np.tanh(c)
+        h = o * tc
+        cache.append((i, f, cand, o, c_prev, h_prev, tc))
+
+    def back(g):
+        dwx = np.zeros_like(w_x.data) if w_x.requires_grad else None
+        dwh = np.zeros_like(w_h.data) if w_h.requires_grad else None
+        db = np.zeros_like(b.data) if b.requires_grad else None
+        dx = np.zeros_like(x.data) if x.requires_grad else None
+        dh = g
+        dc = np.zeros_like(g)
+        for t in range(steps - 1, -1, -1):
+            i, f, cand, o, c_prev, h_prev, tc = cache[t]
+            do = dh * tc
+            dc = dc + dh * o * (1 - tc * tc)
+            dz = np.concatenate(
+                [
+                    dc * cand * i * (1 - i),
+                    dc * c_prev * f * (1 - f),
+                    dc * i * (1 - cand * cand),
+                    do * o * (1 - o),
+                ],
+                axis=1,
+            )
+            if dwx is not None:
+                dwx += x.data[:, t, :].T @ dz
+            if dwh is not None:
+                dwh += h_prev.T @ dz
+            if db is not None:
+                db += dz.sum(axis=0)
+            if dx is not None:
+                dx[:, t, :] = dz @ w_x.data.T
+            dh = dz @ w_h.data.T
+            dc = dc * f
+        return dx, dwx, dwh, db
+
+    return ad._emit(h, (x, w_x, w_h, b), back)
+
+
+def lstm_inputs(rng, batch, steps, dim, hidden, dtype=np.float64, gain=1.0):
+    return [
+        (rng.standard_normal((batch, steps, dim)) * gain).astype(dtype),
+        (rng.standard_normal((dim, 4 * hidden)) * 0.4 * gain).astype(dtype),
+        (rng.standard_normal((hidden, 4 * hidden)) * 0.4 * gain).astype(dtype),
+        (rng.standard_normal(4 * hidden) * 0.1 * gain).astype(dtype),
+    ]
+
+
+def lstm_run(op, arrays, grad=(True, True, True, True)):
+    """Output and backward pieces of ``op`` for a fixed random output weighting."""
+    tensors = [ad.Tensor(a, requires_grad=r) for a, r in zip(arrays, grad)]
+    with ad.Tape() as tape:
+        h = op(*tensors)
+    weight = np.random.default_rng(99).standard_normal(h.shape).astype(h.dtype)
+    (node,) = tape._nodes
+    return h.data, node.backward_fn(weight)
+
+
 class TestLstmOp:
+    @pytest.mark.parametrize("batch,steps,dim,hidden", [(1, 1, 4, 4), (3, 9, 5, 6), (2, 7, 3, 11)])
+    @pytest.mark.parametrize("gain", [1.0, 4.0])
+    def test_matches_per_step_reference_in_float64(self, batch, steps, dim, hidden, gain):
+        arrays = lstm_inputs(np.random.default_rng(steps), batch, steps, dim, hidden, gain=gain)
+        h_ref, grads_ref = lstm_run(per_step_lstm, arrays)
+        h, grads = lstm_run(ad.lstm, arrays)
+        np.testing.assert_allclose(h, h_ref, rtol=0, atol=1e-12)
+        for piece, ref in zip(grads, grads_ref):
+            assert piece.shape == ref.shape and piece.dtype == ref.dtype
+            np.testing.assert_allclose(piece, ref, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("mask", range(1, 16))
+    def test_inputs_without_grad_get_none(self, mask):
+        grad = tuple(bool(mask >> k & 1) for k in range(4))
+        arrays = lstm_inputs(np.random.default_rng(3), 2, 5, 3, 4)
+        _, full = lstm_run(ad.lstm, arrays)
+        _, part = lstm_run(ad.lstm, arrays, grad)
+        for wanted, piece, ref in zip(grad, part, full):
+            if wanted:
+                np.testing.assert_array_equal(piece, ref)
+            else:
+                assert piece is None
+
+    @pytest.mark.parametrize("batch,steps,dim,hidden", [(1, 1, 1, 1), (3, 9, 5, 6), (32, 40, 16, 20), (5, 13, 7, 3)])
+    def test_float32_forward_bit_identical_to_per_step_reference(self, batch, steps, dim, hidden):
+        arrays = lstm_inputs(np.random.default_rng(batch), batch, steps, dim, hidden, np.float32, 2.0)
+        h_ref, _ = lstm_run(per_step_lstm, arrays)
+        h, _ = lstm_run(ad.lstm, arrays)
+        infer = ad.lstm(*(ad.Tensor(a) for a in arrays))  # no tape: no per-step history
+        assert h.dtype == infer.dtype == np.float32
+        np.testing.assert_array_equal(h, h_ref)
+        np.testing.assert_array_equal(infer.data, h_ref)
+
     def test_zero_weights_give_zero_output(self):
         x = ad.Tensor(np.random.default_rng(0).standard_normal((2, 4, 3)))
         h = ad.lstm(x, ad.Tensor(np.zeros((3, 8))), ad.Tensor(np.zeros((2, 8))),
@@ -397,6 +508,15 @@ class TestLstmOp:
             b = t64(rng.standard_normal(16) * 0.1 * gain)
             r = ad.Tensor(rng.standard_normal((2, 4)))
             assert ad.grad_check(f, [x, wx, wh, b]) < 1e-4
+
+    def test_gradients_through_twelve_steps(self):
+        def f(*args):
+            return ad.tsum(ad.mul(ad.lstm(*args), r))
+
+        rng = np.random.default_rng(12)
+        point = [t64(a) for a in lstm_inputs(rng, 2, 12, 3, 3)]
+        r = ad.Tensor(rng.standard_normal((2, 3)))
+        assert ad.grad_check(f, point) < 1e-4
 
 
 class TestEmbeddingOp:

@@ -100,7 +100,12 @@ class TestLstmLayer:
         rng = np.random.default_rng(0)
         batch = random_batch(rng, 3, 5, 10)
         x = ad.embedding(params.tensors["00.embedding.table"], batch.ids)
-        out = models.lstm_forward(params, x, "01.lstm")
+        out = ad.lstm(
+            x,
+            params.tensors["01.lstm.w_x"],
+            params.tensors["01.lstm.w_h"],
+            params.tensors["01.lstm.b"],
+        )
         np.testing.assert_array_equal(out.data, 0.0)
 
 

@@ -1,6 +1,10 @@
 import dataclasses
 import logging
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -374,3 +378,36 @@ class TestInitFreeRebuild:
         message = {"shape": "has shape", "unknown": "unexpected", "missing": "missing"}[fault]
         with pytest.raises(CheckpointShapeError, match=message):
             train.load(path)
+
+
+# Widths are raised above the scaled dims so that the lstm's batched GEMMs
+# (32 x 768 by 768 x 128) pass OpenBLAS's size threshold for threading.
+_TRAIN_LSTM = """
+import dataclasses, sys
+from costnet import models, trainer
+from costnet.data import GeneratorConfig, gen_synthetic
+ds = gen_synthetic(GeneratorConfig("dga", 48, 48, seed=3, split="train"))
+dims = dataclasses.replace(models.scaled_dims(), embed_dim=32, lstm_units=32)
+cfg = trainer.TrainConfig(
+    learning_rate=0.01, epochs=2, batch_size=32, seed=0, gamma=1.0,
+    preset="lstm", max_len=24, dims=dims,
+)
+ckpt, _ = trainer.train(ds, cfg)
+trainer.save(ckpt, sys.argv[1])
+"""
+
+
+def test_lstm_checkpoint_bytes_equal_under_one_and_two_blas_threads(tmp_path):
+    paths = []
+    for threads in ("1", "2"):
+        env = dict(
+            os.environ,
+            PYTHONPATH=str(Path(train.__file__).parents[1]),
+            OPENBLAS_NUM_THREADS=threads,
+            OMP_NUM_THREADS=threads,
+            MKL_NUM_THREADS=threads,
+        )
+        path = tmp_path / f"threads{threads}.ckpt"
+        subprocess.run([sys.executable, "-c", _TRAIN_LSTM, str(path)], env=env, check=True, timeout=300)
+        paths.append(path)
+    assert paths[0].read_bytes() == paths[1].read_bytes()

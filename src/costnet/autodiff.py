@@ -26,7 +26,10 @@ DEFAULT_DTYPE = np.float32
 
 
 class Tensor:
-    """N-dimensional array of finite reals, optionally tracked for gradients."""
+    """N-dimensional array of finite reals, optionally tracked for gradients.
+
+    Hashed by identity, since tapes key gradients by tensor; so no ``__eq__``.
+    """
 
     __slots__ = ("data", "requires_grad")
 
@@ -60,19 +63,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}, grad={self.requires_grad})"
-
-    # convenience operators; note identity-based hashing must survive, so no __eq__
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return sub(self, other)
-
-    def __mul__(self, other: "Tensor") -> "Tensor":
-        return mul(self, other)
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
 
 
 class _Node:
@@ -274,17 +264,11 @@ def tsum(x: Tensor) -> Tensor:
     return _emit(out, (x,), back)
 
 
-def tmean(x: Tensor, axis: int | None = None) -> Tensor:
-    out = x.data.mean(axis=axis)
-    if axis is None:
-        count = x.size
-    else:
-        count = x.shape[axis]
+def tmean(x: Tensor) -> Tensor:
+    out = x.data.mean()
 
     def back(g):
-        if axis is not None:
-            g = np.expand_dims(g, axis)
-        return ((np.broadcast_to(g, x.shape) / count).astype(x.dtype, copy=False),)
+        return ((np.broadcast_to(g, x.shape) / x.size).astype(x.dtype, copy=False),)
 
     return _emit(out, (x,), back)
 

@@ -11,6 +11,10 @@ sequence:
   lstm      128 recurrent units, last state only, dropout 0.3
   cnn_lstm  the cnn front-end feeding a 50-unit recurrence
 
+The table ``_KINDS`` is the one place that defines a layer kind: its
+hyperparameter check, output shape, arrays and forward op. ``LayerSpec``,
+``output_shapes``, ``parameter_table`` and ``forward`` only look kinds up there.
+
 Weight init is uniform Glorot; the recurrent forget-gate bias starts at 1,
 the embedding pad row starts (and stays) at zero. ``parameter_table`` lists
 every array of a model without drawing any random numbers, so a checkpoint
@@ -19,7 +23,9 @@ can be rebuilt without paying for an init it would overwrite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -43,22 +49,9 @@ class LayerSpec:
     dim: int = 0  # embedding width
 
     def __post_init__(self):
-        checks = {
-            "embedding": self.dim > 0,
-            "dense": self.units > 0,
-            "conv1d": self.filters > 0 and self.kernel > 0,
-            "maxpool1d": self.pool > 0,
-            "dropout": 0.0 <= self.rate < 1.0,
-            "lstm": self.units > 0,
-            "relu": True,
-            "sigmoid": True,
-            "batchnorm": True,
-            "flatten": True,
-            "mean_pool": True,
-        }
-        if self.kind not in checks:
+        if self.kind not in _KINDS:
             raise ConfigError(f"unknown layer kind {self.kind!r}")
-        if not checks[self.kind]:
+        if not _KINDS[self.kind].valid(self):
             raise ConfigError(f"invalid hyperparameters for {self.kind}: {self}")
 
 
@@ -92,10 +85,140 @@ class Parameters:
 
     tensors: dict[str, ad.Tensor]
     buffers: dict[str, np.ndarray]
-    seed: int
 
-    def names(self) -> list[str]:
-        return sorted(self.tensors) + sorted(self.buffers)
+
+@dataclass(frozen=True)
+class ParamEntry:
+    """One named array of a model: its shape and how it starts.
+
+    ``init`` is one of ``glorot`` (uniform over +-sqrt(6 / (fan_in + fan_out))),
+    ``embedding`` (glorot with the PAD row zeroed), ``zeros``, ``ones`` or
+    ``forget_bias`` (zeros with the forget-gate quarter at 1). Buffers are
+    not trained.
+    """
+
+    name: str
+    shape: tuple[int, ...]
+    init: str
+    fans: tuple[int, int] = (0, 0)
+    buffer: bool = False
+
+
+#: what a forward pass hands every layer besides its input and its arrays
+_Run = NamedTuple("_Run", [("ids", np.ndarray), ("training", bool), ("rng", object)])
+
+
+class _Kind(NamedTuple):
+    """One layer kind; ``_KINDS`` holds the only definition of each.
+
+    ``valid(layer)`` checks the hyperparameters; ``out(layer, in_shape)`` is the
+    output shape, raising ``ConfigError`` where the chain does not fit;
+    ``arrays(layer, in_shape, vocab_size)`` lists the layer's parameters and
+    buffers, named by suffix, in init draw order; ``apply(layer, h, get, run)``
+    is the forward op, with ``get(suffix)`` giving one of those arrays. It calls
+    ops as ``ad.<op>`` at call time, so a replaced module attribute (a tracer's
+    wrapper) takes effect.
+    """
+
+    apply: Callable
+    valid: Callable = lambda layer: True
+    out: Callable = lambda layer, shape: shape
+    arrays: Callable = lambda layer, shape, vocab_size: ()
+
+
+def _embedding_out(layer: LayerSpec, shape: tuple[int, ...]) -> tuple[int, ...]:
+    if len(shape) != 1:
+        raise ConfigError("embedding must be the first layer")
+    return (shape[0], layer.dim)
+
+
+def _conv1d_out(layer: LayerSpec, shape: tuple[int, ...]) -> tuple[int, ...]:
+    out_len = shape[0] - layer.kernel + 1
+    if out_len < 1:
+        raise ConfigError(
+            f"conv over {shape[0]} steps with kernel {layer.kernel} leaves no output"
+        )
+    return (out_len, layer.filters)
+
+
+def _maxpool1d_out(layer: LayerSpec, shape: tuple[int, ...]) -> tuple[int, ...]:
+    length, ch = shape
+    if length < layer.pool:
+        raise ConfigError(f"pool {layer.pool} wider than input {length}")
+    return (length // layer.pool, ch)
+
+
+def _dropout_apply(layer: LayerSpec, h: ad.Tensor, get, run: _Run) -> ad.Tensor:
+    if not (run.training and layer.rate > 0.0):
+        return h
+    return ad.mul(h, ad.dropout_mask(h.shape, layer.rate, run.rng, dtype=h.dtype))
+
+
+_KINDS: dict[str, _Kind] = {
+    "embedding": _Kind(
+        valid=lambda layer: layer.dim > 0,
+        out=_embedding_out,
+        arrays=lambda layer, shape, vocab_size: (
+            ParamEntry("table", (vocab_size, layer.dim), "embedding", (vocab_size, layer.dim)),
+        ),
+        apply=lambda layer, h, get, run: ad.embedding(get("table"), run.ids, pad_id=PAD_ID),
+    ),
+    "dense": _Kind(
+        valid=lambda layer: layer.units > 0,
+        out=lambda layer, shape: (layer.units,),
+        arrays=lambda layer, shape, vocab_size: (
+            ParamEntry("w", (shape[-1], layer.units), "glorot", (shape[-1], layer.units)),
+            ParamEntry("b", (layer.units,), "zeros"),
+        ),
+        apply=lambda layer, h, get, run: ad.add(ad.matmul(h, get("w")), get("b")),
+    ),
+    "conv1d": _Kind(
+        valid=lambda layer: layer.filters > 0 and layer.kernel > 0,
+        out=_conv1d_out,
+        arrays=lambda layer, shape, vocab_size: (
+            ParamEntry(
+                "kernels", (layer.kernel, shape[-1], layer.filters), "glorot",
+                (layer.kernel * shape[-1], layer.kernel * layer.filters),
+            ),
+            ParamEntry("bias", (layer.filters,), "zeros"),
+        ),
+        apply=lambda layer, h, get, run: ad.conv1d_valid(h, get("kernels"), get("bias")),
+    ),
+    "maxpool1d": _Kind(
+        valid=lambda layer: layer.pool > 0,
+        out=_maxpool1d_out,
+        apply=lambda layer, h, get, run: ad.maxpool1d(h, layer.pool),
+    ),
+    "lstm": _Kind(
+        valid=lambda layer: layer.units > 0,
+        out=lambda layer, shape: (layer.units,),
+        arrays=lambda layer, shape, vocab_size: (
+            ParamEntry("w_x", (shape[-1], 4 * layer.units), "glorot", (shape[-1], 4 * layer.units)),
+            ParamEntry("w_h", (layer.units, 4 * layer.units), "glorot", (layer.units, 4 * layer.units)),
+            ParamEntry("b", (4 * layer.units,), "forget_bias"),
+        ),
+        apply=lambda layer, h, get, run: ad.lstm(h, get("w_x"), get("w_h"), get("b")),
+    ),
+    "batchnorm": _Kind(
+        arrays=lambda layer, shape, vocab_size: (
+            ParamEntry("scale", shape[-1:], "ones"),
+            ParamEntry("shift", shape[-1:], "zeros"),
+            ParamEntry("running_mean", shape[-1:], "zeros", buffer=True),
+            ParamEntry("running_var", shape[-1:], "ones", buffer=True),
+        ),
+        apply=lambda layer, h, get, run: ad.batchnorm(
+            h, get("scale"), get("shift"), get("running_mean"), get("running_var"),
+            training=run.training,
+        ),
+    ),
+    "dropout": _Kind(valid=lambda layer: 0.0 <= layer.rate < 1.0, apply=_dropout_apply),
+    "flatten": _Kind(
+        out=lambda layer, shape: (math.prod(shape),),
+        apply=lambda layer, h, get, run: ad.reshape(h, (h.shape[0], -1)),
+    ),
+    "relu": _Kind(apply=lambda layer, h, get, run: ad.relu(h)),
+    "sigmoid": _Kind(apply=lambda layer, h, get, run: ad.sigmoid(h)),
+}
 
 
 def _preset_layers(preset: str, dims: PresetDims) -> tuple[LayerSpec, ...]:
@@ -144,57 +267,9 @@ def output_shapes(spec: ModelSpec) -> list[tuple[int, ...]]:
     shape: tuple[int, ...] = (spec.max_len,)
     shapes = []
     for layer in spec.layers:
-        kind = layer.kind
-        if kind == "embedding":
-            if len(shape) != 1:
-                raise ConfigError("embedding must be the first layer")
-            shape = (shape[0], layer.dim)
-        elif kind == "conv1d":
-            length, ch = shape
-            out_len = length - layer.kernel + 1
-            if out_len < 1:
-                raise ConfigError(
-                    f"conv over {length} steps with kernel {layer.kernel} "
-                    "leaves no output"
-                )
-            shape = (out_len, layer.filters)
-        elif kind == "maxpool1d":
-            length, ch = shape
-            if length < layer.pool:
-                raise ConfigError(f"pool {layer.pool} wider than input {length}")
-            shape = (length // layer.pool, ch)
-        elif kind == "lstm":
-            shape = (layer.units,)
-        elif kind == "flatten":
-            n = 1
-            for d in shape:
-                n *= d
-            shape = (n,)
-        elif kind == "mean_pool":
-            shape = (shape[1],)
-        elif kind == "dense":
-            shape = (layer.units,)
-        elif kind in ("relu", "sigmoid", "dropout", "batchnorm"):
-            pass
+        shape = _KINDS[layer.kind].out(layer, shape)
         shapes.append(shape)
     return shapes
-
-
-@dataclass(frozen=True)
-class ParamEntry:
-    """One named array of a model: its shape and how it starts.
-
-    ``init`` is one of ``glorot`` (uniform over +-sqrt(6 / (fan_in + fan_out))),
-    ``embedding`` (glorot with the PAD row zeroed), ``zeros``, ``ones`` or
-    ``forget_bias`` (zeros with the forget-gate quarter at 1). Buffers are
-    not trained.
-    """
-
-    name: str
-    shape: tuple[int, ...]
-    init: str
-    fans: tuple[int, int] = (0, 0)
-    buffer: bool = False
 
 
 def model_spec(
@@ -216,37 +291,8 @@ def parameter_table(spec: ModelSpec) -> tuple[ParamEntry, ...]:
     entries: list[ParamEntry] = []
     in_shape: tuple[int, ...] = (spec.max_len,)
     for idx, (layer, out_shape) in enumerate(zip(spec.layers, output_shapes(spec))):
-        name = f"{idx:02d}.{layer.kind}"
-        if layer.kind == "embedding":
-            shape = (spec.vocab_size, layer.dim)
-            entries.append(ParamEntry(f"{name}.table", shape, "embedding", shape))
-        elif layer.kind == "dense":
-            shape = (in_shape[-1], layer.units)
-            entries += [
-                ParamEntry(f"{name}.w", shape, "glorot", shape),
-                ParamEntry(f"{name}.b", (layer.units,), "zeros"),
-            ]
-        elif layer.kind == "conv1d":
-            k, cin, cout = layer.kernel, in_shape[-1], layer.filters
-            entries += [
-                ParamEntry(f"{name}.kernels", (k, cin, cout), "glorot", (k * cin, k * cout)),
-                ParamEntry(f"{name}.bias", (cout,), "zeros"),
-            ]
-        elif layer.kind == "lstm":
-            dim, gates = in_shape[-1], 4 * layer.units
-            entries += [
-                ParamEntry(f"{name}.w_x", (dim, gates), "glorot", (dim, gates)),
-                ParamEntry(f"{name}.w_h", (layer.units, gates), "glorot", (layer.units, gates)),
-                ParamEntry(f"{name}.b", (gates,), "forget_bias"),
-            ]
-        elif layer.kind == "batchnorm":
-            feat = (in_shape[-1],)
-            entries += [
-                ParamEntry(f"{name}.scale", feat, "ones"),
-                ParamEntry(f"{name}.shift", feat, "zeros"),
-                ParamEntry(f"{name}.running_mean", feat, "zeros", buffer=True),
-                ParamEntry(f"{name}.running_var", feat, "ones", buffer=True),
-            ]
+        for entry in _KINDS[layer.kind].arrays(layer, in_shape, spec.vocab_size):
+            entries.append(replace(entry, name=f"{idx:02d}.{layer.kind}.{entry.name}"))
         in_shape = out_shape
     return tuple(entries)
 
@@ -269,7 +315,7 @@ def _initial_value(entry: ParamEntry, rng: np.random.Generator, dtype) -> np.nda
     return arr
 
 
-def assemble_parameters(spec: ModelSpec, arrays, seed: int = 0) -> Parameters:
+def assemble_parameters(spec: ModelSpec, arrays) -> Parameters:
     """Wrap one array per ``parameter_table`` entry, uncopied, as a model's parameters."""
     tensors: dict[str, ad.Tensor] = {}
     buffers: dict[str, np.ndarray] = {}
@@ -278,7 +324,7 @@ def assemble_parameters(spec: ModelSpec, arrays, seed: int = 0) -> Parameters:
             buffers[entry.name] = arrays[entry.name]
         else:
             tensors[entry.name] = ad.Tensor(arrays[entry.name], requires_grad=True)
-    return Parameters(tensors=tensors, buffers=buffers, seed=seed)
+    return Parameters(tensors=tensors, buffers=buffers)
 
 
 def build_model(
@@ -293,7 +339,7 @@ def build_model(
     spec = model_spec(preset, vocab_size, max_len, dims)
     rng = np.random.default_rng(seed)
     initial = {entry.name: _initial_value(entry, rng, dtype) for entry in parameter_table(spec)}
-    return spec, assemble_parameters(spec, initial, seed)
+    return spec, assemble_parameters(spec, initial)
 
 
 def forward(
@@ -319,48 +365,12 @@ def forward(
             f"token ids must be in [0, {spec.vocab_size}), got "
             f"[{ids.min()}, {ids.max()}]"
         )
-    training = mode == "train"
+    run = _Run(ids, mode == "train", rng)
+    arrays = {**params.tensors, **params.buffers}
     h: ad.Tensor | None = None
     for idx, layer in enumerate(spec.layers):
         name = f"{idx:02d}.{layer.kind}"
-        if layer.kind == "embedding":
-            h = ad.embedding(params.tensors[f"{name}.table"], ids, pad_id=PAD_ID)
-        elif layer.kind == "dense":
-            h = ad.add(ad.matmul(h, params.tensors[f"{name}.w"]), params.tensors[f"{name}.b"])
-        elif layer.kind == "relu":
-            h = ad.relu(h)
-        elif layer.kind == "sigmoid":
-            h = ad.sigmoid(h)
-        elif layer.kind == "conv1d":
-            h = ad.conv1d_valid(
-                h, params.tensors[f"{name}.kernels"], params.tensors[f"{name}.bias"]
-            )
-        elif layer.kind == "maxpool1d":
-            h = ad.maxpool1d(h, layer.pool)
-        elif layer.kind == "lstm":
-            h = ad.lstm(
-                h,
-                params.tensors[f"{name}.w_x"],
-                params.tensors[f"{name}.w_h"],
-                params.tensors[f"{name}.b"],
-            )
-        elif layer.kind == "flatten":
-            h = ad.reshape(h, (h.shape[0], -1))
-        elif layer.kind == "mean_pool":
-            h = ad.tmean(h, axis=1)
-        elif layer.kind == "dropout":
-            if training and layer.rate > 0.0:
-                mask = ad.dropout_mask(h.shape, layer.rate, rng, dtype=h.dtype)
-                h = ad.mul(h, mask)
-        elif layer.kind == "batchnorm":
-            h = ad.batchnorm(
-                h,
-                params.tensors[f"{name}.scale"],
-                params.tensors[f"{name}.shift"],
-                params.buffers[f"{name}.running_mean"],
-                params.buffers[f"{name}.running_var"],
-                training=training,
-            )
+        h = _KINDS[layer.kind].apply(layer, h, lambda suffix: arrays[f"{name}.{suffix}"], run)
     return ad.reshape(h, (ids.shape[0],))
 
 

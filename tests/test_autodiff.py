@@ -347,14 +347,6 @@ class TestInvariantsAndHygiene:
 
         assert ad.grad_check(f, [x, w]) < 1e-4
 
-    def test_mean_with_axis(self):
-        x = t64(np.arange(12, dtype=float).reshape(2, 3, 2))
-        with ad.Tape() as tape:
-            m = ad.tmean(x, axis=1)
-            loss = ad.tsum(m)
-        assert m.shape == (2, 2)
-        np.testing.assert_allclose(tape.gradients(loss)[x], 1 / 3)
-
     def test_reshape_round_trip(self):
         x = t64(np.arange(6, dtype=float))
         with ad.Tape() as tape:

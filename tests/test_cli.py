@@ -244,12 +244,21 @@ def _tampered(header, fault):
         header["vocab"] = 5
     elif fault == "negative-offset":
         header["manifest"][0][2] = -4
+    elif fault == "zero-embed-dim":
+        header["hyperparameters"]["dims"]["embed_dim"] = 0
+    elif fault == "head-dropout-one":
+        header["hyperparameters"]["dims"]["head_dropout"] = 1.0
+    elif fault == "zero-pool":
+        header["hyperparameters"]["dims"]["pool"] = 0
+    elif fault == "kernel-past-max-len":
+        header["hyperparameters"]["dims"]["conv_kernel"] = header["max_len"] + 1
     return header
 
 
 @pytest.mark.parametrize("fault", [
     "no-preset", "unknown-dims-key", "short-manifest-entry", "string-max-len",
     "list-header", "int-vocab", "negative-offset",
+    "zero-embed-dim", "head-dropout-one", "zero-pool", "kernel-past-max-len",
 ])
 def test_tampered_header_is_clean_error(toy_corpus, tmp_path, fault):
     _, _, _, model = toy_corpus

@@ -162,6 +162,36 @@ class TestForward:
         assert probs.shape == (2,)
 
 
+#: the ops a tracer times by replacing ``costnet.autodiff`` attributes
+TRACED_OPS = ("embedding", "conv1d_valid", "maxpool1d", "lstm", "matmul", "batchnorm")
+PRESET_OP_CALLS = {
+    "dnn": {"embedding": 1, "matmul": 5, "batchnorm": 3},
+    "cnn": {"embedding": 1, "conv1d_valid": 1, "maxpool1d": 1, "matmul": 2},
+    "lstm": {"embedding": 1, "lstm": 1, "matmul": 1},
+    "cnn_lstm": {"embedding": 1, "conv1d_valid": 1, "maxpool1d": 1, "lstm": 1, "matmul": 1},
+}
+
+
+def _counting(calls, op, fn):
+    def counted(*args, **kwargs):
+        calls[op] += 1
+        return fn(*args, **kwargs)
+
+    return counted
+
+
+@pytest.mark.parametrize("mode", ["infer", "train"])
+@pytest.mark.parametrize("preset", models.PRESETS)
+def test_forward_looks_ops_up_on_the_module_at_call_time(monkeypatch, preset, mode):
+    spec, params = models.build_model(preset, 20, 12, seed=0, dims=TINY)
+    calls = dict.fromkeys(TRACED_OPS, 0)
+    for op in TRACED_OPS:
+        monkeypatch.setattr(ad, op, _counting(calls, op, getattr(ad, op)))
+    batch = random_batch(np.random.default_rng(2), 4, 12, 20)
+    models.forward(spec, params, batch, mode=mode, rng=np.random.default_rng(0))
+    assert calls == {**dict.fromkeys(TRACED_OPS, 0), **PRESET_OP_CALLS[preset]}
+
+
 class TestEndToEndGradients:
     @pytest.mark.parametrize("preset", models.PRESETS)
     def test_preset_gradcheck(self, preset):

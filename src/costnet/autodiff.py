@@ -29,9 +29,12 @@ class Tensor:
     """N-dimensional array of finite reals, optionally tracked for gradients.
 
     Hashed by identity, since tapes key gradients by tensor; so no ``__eq__``.
+    ``source`` is ``(table, ids, pad_id)`` on the output of ``embedding`` and
+    ``None`` on every other tensor: ``conv1d_valid`` and ``lstm`` read it to
+    fold the lookup into their first product.
     """
 
-    __slots__ = ("data", "requires_grad")
+    __slots__ = ("data", "requires_grad", "source")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
@@ -45,6 +48,7 @@ class Tensor:
             raise DataError("tensor contains NaN or Inf values")
         self.data = arr
         self.requires_grad = bool(requires_grad)
+        self.source = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -303,7 +307,10 @@ def embedding(table: Tensor, ids: np.ndarray, pad_id: int | None = 0) -> Tensor:
     """Gather rows of ``table`` by integer id.
 
     Gradient scatters back with accumulation over repeated ids; the pad row
-    (if given) is kept frozen by skipping its positions in the scatter.
+    (if given) is kept frozen by skipping its positions in the scatter. The
+    output remembers ``(table, ids, pad_id)`` as its ``source``, so a
+    ``conv1d_valid`` or ``lstm`` reading it differentiates the table directly
+    and this scatter never runs.
     """
     ids = np.asarray(ids)
     if ids.min(initial=0) < 0 or (ids.size and ids.max() >= table.shape[0]):
@@ -324,7 +331,16 @@ def embedding(table: Tensor, ids: np.ndarray, pad_id: int | None = 0) -> Tensor:
         np.add.at(dt, flat_ids, rows)
         return (dt,)
 
-    return _emit(out, (table,), back)
+    out = _emit(out, (table,), back)
+    out.source = (table, ids, pad_id)
+    return out
+
+
+def _onehot(ids: np.ndarray, width: int, dtype) -> np.ndarray:
+    """``[rows, width]`` indicator for a ``[rows, m]`` id array: a 1 at each id."""
+    out = np.zeros((ids.shape[0], width), dtype=dtype)
+    out[np.arange(ids.shape[0])[:, None], ids] = 1
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +352,15 @@ def conv1d_valid(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
 
     x: [batch, len, in_ch], kernels: [k, in_ch, out_ch], bias: [out_ch]
     returns [batch, len - k + 1, out_ch].
+
+    When ``x`` is the output of ``embedding`` (its ``source`` is set), the
+    lookup is folded in: with table E, ``P_j = E @ K_j`` is a small
+    ``[vocab, out_ch]`` table per tap and the output is
+    ``bias + sum_j P_j[ids[:, j:j+n]]``. The node then records E, not x, as
+    its input: ``dP = onehot_windows^T @ g`` is one GEMM, ``dK_j = E^T @ dP_j``
+    and ``dE = sum_j dP_j @ K_j^T`` with the pad row zeroed, so neither the
+    im2col copy nor the embedding's scatter runs. Any other x takes the
+    im2col path.
     """
     if x.data.ndim != 3 or kernels.data.ndim != 3 or bias.data.ndim != 1:
         raise ShapeError(
@@ -351,6 +376,8 @@ def conv1d_valid(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     if length < k:
         raise ShapeError(f"conv1d: sequence too short, len {length} < kernel {k}")
     out_len = length - k + 1
+    if x.source is not None:
+        return _conv1d_folded(x.source, kernels, bias, out_len)
     # im2col: one large matmul instead of a python loop over positions
     windows = np.lib.stride_tricks.sliding_window_view(x.data, k, axis=1)
     flat = np.ascontiguousarray(windows.transpose(0, 1, 3, 2)).reshape(
@@ -374,6 +401,39 @@ def conv1d_valid(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     return _emit(out, (x, kernels, bias), back)
 
 
+def _conv1d_folded(source, kernels: Tensor, bias: Tensor, out_len: int) -> Tensor:
+    """``conv1d_valid`` of an embedding output, computed from the table."""
+    table, ids, pad_id = source
+    vocab = table.shape[0]
+    k, in_ch, out_ch = kernels.shape
+    batch = ids.shape[0]
+    # row j * vocab + v of ptab is P_j[v]; window (b, t) reads rows cols[b, t]
+    ptab = np.matmul(table.data, kernels.data).reshape(k * vocab, out_ch)
+    cols = np.lib.stride_tricks.sliding_window_view(ids, k, axis=1) + np.arange(k) * vocab
+    out = np.take(ptab, cols[:, :, 0], axis=0)
+    for j in range(1, k):
+        out += np.take(ptab, cols[:, :, j], axis=0)
+    out += bias.data
+
+    def back(g):
+        db = g.sum(axis=(0, 1)) if bias.requires_grad else None
+        if not (table.requires_grad or kernels.requires_grad):
+            return None, None, db
+        onehot = _onehot(cols.reshape(batch * out_len, k), k * vocab, g.dtype)
+        dp = (onehot.T @ g.reshape(batch * out_len, out_ch)).reshape(k, vocab, out_ch)
+        dk = table.data.T @ dp if kernels.requires_grad else None
+        de = None
+        if table.requires_grad:
+            de = dp.transpose(1, 0, 2).reshape(vocab, k * out_ch) @ (
+                kernels.data.transpose(0, 2, 1).reshape(k * out_ch, in_ch)
+            )
+            if pad_id is not None:
+                de[pad_id] = 0
+        return de, dk, db
+
+    return _emit(out, (table, kernels, bias), back)
+
+
 def maxpool1d(x: Tensor, pool: int) -> Tensor:
     """Non-overlapping window maxima over the time axis; remainder dropped.
 
@@ -383,19 +443,28 @@ def maxpool1d(x: Tensor, pool: int) -> Tensor:
         raise ConfigError(f"maxpool1d: pool length must be a positive int, got {pool}")
     if x.data.ndim != 3:
         raise ShapeError(f"maxpool1d: expected [batch, len, ch], got {x.shape}")
-    batch, length, ch = x.shape
+    length = x.shape[1]
     if length < pool:
         raise ShapeError(f"maxpool1d: len {length} < pool {pool}")
-    n = length // pool
-    win = x.data[:, : n * pool, :].reshape(batch, n, pool, ch)
-    arg = win.argmax(axis=2)  # argmax picks the first occurrence on ties
-    out = np.take_along_axis(win, arg[:, :, None, :], axis=2)[:, :, 0, :]
+    m = length // pool * pool
+    # the strided slice j holds element j of every window; a strict > keeps
+    # the first maximum on ties, and arg records which slice won
+    out = x.data[:, 0:m:pool].copy()
+    arg = np.zeros(out.shape, dtype=np.min_scalar_type(pool - 1))
+    bits = out.view(f"i{out.itemsize}")
+    for j in range(1, pool):
+        s = x.data[:, j:m:pool]
+        wins = s > out
+        # out = where(wins, s, out) as a bitwise select: np.where branches per
+        # element, which is several times slower on a maxpool's random masks
+        bits ^= (bits ^ s.view(bits.dtype)) & -wins.astype(bits.dtype)
+        arg += wins * (j - arg)
 
     def back(g):
-        dwin = np.zeros_like(win)
-        np.put_along_axis(dwin, arg[:, :, None, :], g[:, :, None, :], axis=2)
         dx = np.zeros_like(x.data)
-        dx[:, : n * pool, :] = dwin.reshape(batch, n * pool, ch)
+        for j in range(pool):
+            np.multiply(g, arg == j, out=dx[:, j:m:pool])
+        dx += 0  # a negative g times a lost slot is -0; keep every zero +0
         return (dx,)
 
     return _emit(out, (x,), back)
@@ -422,6 +491,13 @@ def lstm(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor) -> Tensor:
     (``[steps, batch, 4h]``) and carries ``dh = dz_t @ w_h^T`` and ``dc``.
     Then ``dw_x = X^T @ DZ``, ``dw_h = H_prev^T @ DZ``, ``db = sum(DZ)`` and
     ``dx = DZ @ w_x^T`` are one GEMM or one sum each over all steps.
+
+    When ``x`` is the output of ``embedding`` (its ``source`` is set), the
+    lookup is folded into the input projection: with table E,
+    ``z_in = (E @ w_x)[ids^T]``, and the node records E, not x, as its input.
+    Its x-side backward is then ``dQ = onehot^T @ DZ``, ``dw_x = E^T @ dQ`` and
+    ``dE = dQ @ w_x^T`` with the pad row zeroed, all over ``vocab`` rows; the
+    recurrent loop is the same on both paths.
     """
     if x.data.ndim != 3:
         raise ShapeError(f"lstm: expected [batch, len, dim], got {x.shape}")
@@ -435,9 +511,16 @@ def lstm(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor) -> Tensor:
             f"match input dim {dim} and hidden {hidden}"
         )
     dtype = np.result_type(x.data, w_x.data, w_h.data, b.data)
-    track = _recording((x, w_x, w_h, b))
-    xs = np.ascontiguousarray(x.data.transpose(1, 0, 2)).reshape(steps * batch, dim)
-    z_in = (xs @ w_x.data).reshape(steps, batch, 4 * hidden)
+    if x.source is not None:
+        table, ids, pad_id = x.source
+        inputs = (table, w_x, w_h, b)
+        step_ids = ids.T  # [steps, batch], as z_in is laid out
+        z_in = (table.data @ w_x.data)[step_ids]
+    else:
+        inputs = (x, w_x, w_h, b)
+        xs = np.ascontiguousarray(x.data.transpose(1, 0, 2)).reshape(steps * batch, dim)
+        z_in = (xs @ w_x.data).reshape(steps, batch, 4 * hidden)
+    track = _recording(inputs)
     # without a tape one slot is overwritten every step; with one, slot t
     # holds step t and the states carry the zero initial state in slot 0
     kept = steps if track else 1
@@ -498,17 +581,25 @@ def lstm(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor) -> Tensor:
                 dh = dz[t] @ w_h.data.T
                 dc *= f
         dz_flat = dz.reshape(steps * batch, 4 * hidden)
-        dwx = xs.T @ dz_flat if w_x.requires_grad else None
         dwh = hs[:-1].reshape(steps * batch, hidden).T @ dz_flat if w_h.requires_grad else None
         db = dz_flat.sum(axis=0) if b.requires_grad else None
-        dx = None
-        if x.requires_grad:
-            dx = np.ascontiguousarray(
-                (dz_flat @ w_x.data.T).reshape(steps, batch, dim).transpose(1, 0, 2)
-            )
+        dx = dwx = None
+        if x.source is None:
+            dwx = xs.T @ dz_flat if w_x.requires_grad else None
+            if x.requires_grad:
+                dx = np.ascontiguousarray(
+                    (dz_flat @ w_x.data.T).reshape(steps, batch, dim).transpose(1, 0, 2)
+                )
+        elif table.requires_grad or w_x.requires_grad:
+            dq = _onehot(step_ids.reshape(-1, 1), table.shape[0], dtype).T @ dz_flat
+            dwx = table.data.T @ dq if w_x.requires_grad else None
+            if table.requires_grad:
+                dx = dq @ w_x.data.T  # the table's gradient
+                if pad_id is not None:
+                    dx[pad_id] = 0
         return dx, dwx, dwh, db
 
-    return _emit(hs[-1], (x, w_x, w_h, b), back)
+    return _emit(hs[-1], inputs, back)
 
 
 def batchnorm(

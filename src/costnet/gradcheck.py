@@ -114,6 +114,34 @@ def _check_embedding() -> float:
     return ad.grad_check(lambda t: proj(ad.embedding(t, ids, pad_id=0)), table)
 
 
+def _check_embedding_conv1d() -> float:
+    """conv1d_valid on an embedding output, where the lookup is folded in."""
+    rng = np.random.default_rng(114)
+    table = ad.Tensor(rng.standard_normal((7, 3)), dtype=np.float64)
+    k = ad.Tensor(rng.standard_normal((3, 3, 4)), dtype=np.float64)
+    b = ad.Tensor(rng.standard_normal(4), dtype=np.float64)
+    ids = rng.integers(1, 7, size=(2, 9))  # keep the frozen pad row unused
+    proj = _probe(rng, (2, 7, 4))
+    return ad.grad_check(
+        lambda t, k_, b_: proj(ad.conv1d_valid(ad.embedding(t, ids, pad_id=0), k_, b_)),
+        [table, k, b],
+    )
+
+
+def _check_embedding_lstm() -> float:
+    """lstm on an embedding output, where the lookup is folded in."""
+    rng = np.random.default_rng(115)
+    table = ad.Tensor(rng.standard_normal((7, 3)) * 0.5, dtype=np.float64)
+    wx = ad.Tensor(rng.standard_normal((3, 16)) * 0.4, dtype=np.float64)
+    wh = ad.Tensor(rng.standard_normal((4, 16)) * 0.4, dtype=np.float64)
+    b = ad.Tensor(rng.standard_normal(16) * 0.1, dtype=np.float64)
+    ids = rng.integers(1, 7, size=(2, 5))  # keep the frozen pad row unused
+    proj = _probe(rng, (2, 4))
+    return ad.grad_check(
+        lambda t, *w: proj(ad.lstm(ad.embedding(t, ids, pad_id=0), *w)), [table, wx, wh, b]
+    )
+
+
 def _check_lstm() -> float:
     rng = np.random.default_rng(111)
     x = ad.Tensor(rng.standard_normal((2, 5, 3)) * 0.5, dtype=np.float64)
@@ -168,6 +196,8 @@ _OP_CHECKS = {
     "batchnorm": _check_batchnorm,
     "embedding": _check_embedding,
     "lstm": _check_lstm,
+    "embedding_conv1d": _check_embedding_conv1d,
+    "embedding_lstm": _check_embedding_lstm,
     "weighted_bce": _check_weighted_bce,
 }
 

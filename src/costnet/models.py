@@ -15,6 +15,15 @@ The table ``_KINDS`` is the one place that defines a layer kind: its
 hyperparameter check, output shape, arrays and forward op. ``LayerSpec``,
 ``output_shapes``, ``parameter_table`` and ``forward`` only look kinds up there.
 
+The embedding is folded into the first linear map of the layer after it:
+``ad.embedding``'s output remembers its table and ids, and ``ad.conv1d_valid``
+(cnn, cnn_lstm) and ``ad.lstm`` (lstm) given such an input gather rows of a
+``[vocab, out]`` product of the table and their weights, and differentiate the
+table directly. The input alone decides this, so ``_KINDS`` needs no rule for
+it; cnn_lstm's lstm reads maxpool output and takes the general path, and dnn's
+flatten has nothing to fold. Parameters, their names and the checkpoint layout
+are the same on both paths.
+
 Weight init is uniform Glorot; the recurrent forget-gate bias starts at 1,
 the embedding pad row starts (and stays) at zero. ``parameter_table`` lists
 every array of a model without drawing any random numbers, so a checkpoint

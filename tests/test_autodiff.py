@@ -117,6 +117,31 @@ class TestMaxpool:
 
         assert ad.grad_check(f, x) < 1e-6
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("pool,length", [(2, 12), (2, 13), (3, 12), (3, 14)])
+    def test_bytes_equal_argmax_formula(self, pool, length, dtype):
+        rng = np.random.default_rng(pool * length)
+        # relu output: about half the entries tie at 0, some whole windows too
+        x = ad.Tensor(np.maximum(rng.standard_normal((5, length, 7)), 0).astype(dtype), requires_grad=True)
+        x.data[0, :pool] = 0.0
+        with ad.Tape() as tape:
+            out = ad.maxpool1d(x, pool)
+        (node,) = tape._nodes
+        g = rng.standard_normal(out.shape).astype(dtype)
+        (dx,) = node.backward_fn(g)
+        # the argmax / take_along_axis / put_along_axis formula
+        n = length // pool
+        win = x.data[:, : n * pool].reshape(5, n, pool, 7)
+        arg = win.argmax(axis=2)[:, :, None, :]
+        want = np.ascontiguousarray(np.take_along_axis(win, arg, axis=2)[:, :, 0, :])
+        dwin = np.zeros_like(win)
+        np.put_along_axis(dwin, arg, g[:, :, None, :], axis=2)
+        want_dx = np.zeros_like(x.data)
+        want_dx[:, : n * pool] = dwin.reshape(5, n * pool, 7)
+        assert out.data.dtype == dx.dtype == dtype
+        assert out.data.tobytes() == want.tobytes()
+        assert dx.tobytes() == want_dx.tobytes()
+
 
 class TestElementwise:
     def test_sigmoid_at_zero(self):
@@ -568,3 +593,96 @@ class TestEmbeddingOp:
         if pad_id is not None:
             want[pad_id] = 0
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def fold_run(op, arrays, ids, pad_id=0, fold=True, table_grad=True):
+    """Output and gradients of ``op`` applied to an embedding of ``ids``.
+
+    ``arrays`` is the table followed by the op's weights. With ``fold`` the
+    op reads the embedding output itself; otherwise an identity reshape hides
+    where its input came from, so the general path and the embedding's
+    scatter run.
+    """
+    table = ad.Tensor(arrays[0], requires_grad=table_grad)
+    weights = [ad.Tensor(a, requires_grad=True) for a in arrays[1:]]
+    with ad.Tape() as tape:
+        x = ad.embedding(table, ids, pad_id=pad_id)
+        if not fold:
+            x = ad.reshape(x, x.shape)
+        out = op(x, *weights)
+        r = ad.Tensor(np.random.default_rng(98).standard_normal(out.shape).astype(out.dtype))
+        loss = ad.tsum(ad.mul(out, r))
+    grads = tape.gradients(loss)
+    return out.data, [grads.get(t) for t in [table, *weights]], tape
+
+
+def fold_inputs(op, dtype, rng=None):
+    rng = rng or np.random.default_rng(7)
+    table = rng.standard_normal((9, 5))
+    table[0] = 0  # the pad row, as models initialise it
+    ids = rng.integers(0, 9, size=(4, 11))
+    ids[:, 8:] = 0  # trailing padding, as text.encode writes it
+    if op is ad.conv1d_valid:
+        weights = [rng.standard_normal((3, 5, 6)), rng.standard_normal(6)]
+    else:
+        weights = [rng.standard_normal((5, 16)) * 0.4, rng.standard_normal((4, 16)) * 0.4,
+                   rng.standard_normal(16) * 0.1]
+    return [a.astype(dtype) for a in [table, *weights]], ids
+
+
+FOLDED_OPS = [ad.conv1d_valid, ad.lstm]
+
+
+class TestEmbeddingFold:
+    @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    @pytest.mark.parametrize("op", FOLDED_OPS, ids=["conv1d", "lstm"])
+    def test_folded_path_matches_general_path(self, op, dtype, tol):
+        arrays, ids = fold_inputs(op, dtype)
+        out, grads, _ = fold_run(op, arrays, ids)
+        ref_out, ref_grads, _ = fold_run(op, arrays, ids, fold=False)
+        for got, want in zip([out, *grads], [ref_out, *ref_grads]):
+            assert got.shape == want.shape and got.dtype == want.dtype == dtype
+            assert np.abs(got - want).max() <= tol * np.abs(want).max()
+
+    @pytest.mark.parametrize("op", FOLDED_OPS, ids=["conv1d", "lstm"])
+    def test_folded_node_differentiates_the_table(self, op):
+        arrays, ids = fold_inputs(op, np.float64)
+        _, _, tape = fold_run(op, arrays, ids)
+        emb, folded = tape._nodes[:2]
+        assert folded.inputs[0] is emb.inputs[0]  # so the scatter never runs
+
+    @pytest.mark.parametrize("op", FOLDED_OPS, ids=["conv1d", "lstm"])
+    def test_pad_row_gradient_is_exactly_zero(self, op):
+        arrays, ids = fold_inputs(op, np.float32)
+        arrays[0][0] = 1.5  # even a nonzero pad row is not trained
+        _, (d_table, *_), _ = fold_run(op, arrays, ids)
+        assert (ids == 0).any() and d_table[0].tobytes() == np.zeros_like(d_table[0]).tobytes()
+        assert np.abs(d_table[1:]).max() > 0
+
+    @pytest.mark.parametrize("op", FOLDED_OPS, ids=["conv1d", "lstm"])
+    def test_without_pad_id_row_0_trains(self, op):
+        arrays, ids = fold_inputs(op, np.float64)
+        _, (d_table, *_), _ = fold_run(op, arrays, ids, pad_id=None)
+        _, (ref, *_), _ = fold_run(op, arrays, ids, pad_id=None, fold=False)
+        assert np.abs(d_table[0]).max() > 0
+        np.testing.assert_allclose(d_table, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("op", FOLDED_OPS, ids=["conv1d", "lstm"])
+    def test_table_without_grad_gets_no_gradient(self, op):
+        arrays, ids = fold_inputs(op, np.float64)
+        _, (d_table, *d_weights), tape = fold_run(op, arrays, ids, table_grad=False)
+        _, (_, *ref), _ = fold_run(op, arrays, ids)
+        assert d_table is None
+        for got, want in zip(d_weights, ref):
+            np.testing.assert_array_equal(got, want)
+        folded = tape._nodes[0]  # no embedding node: its table needs no gradient
+        assert folded.inputs[0].shape == arrays[0].shape
+        assert folded.backward_fn(np.ones(folded.output.shape))[0] is None
+
+    @pytest.mark.parametrize("op", FOLDED_OPS, ids=["conv1d", "lstm"])
+    def test_infer_output_equals_tape_output(self, op):
+        arrays, ids = fold_inputs(op, np.float32)
+        out, _, _ = fold_run(op, arrays, ids)
+        table, *weights = (ad.Tensor(a) for a in arrays)
+        infer = op(ad.embedding(table, ids), *weights)
+        assert infer.data.tobytes() == out.tobytes()

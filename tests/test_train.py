@@ -22,6 +22,7 @@ from costnet.errors import (
     DataError,
 )
 from costnet.loss import ClassWeights
+from costnet.text import PAD_ID
 
 TINY = models.scaled_dims()
 
@@ -380,6 +381,14 @@ class TestInitFreeRebuild:
             train.load(path)
 
 
+@pytest.mark.parametrize("preset", models.PRESETS)
+def test_pad_row_stays_zero_through_training(preset):
+    ckpt, _ = train.train(small_dga(), tiny_config(preset=preset))
+    pad_row = ckpt.weights["00.embedding.table"][PAD_ID]
+    assert pad_row.tobytes() == np.zeros_like(pad_row).tobytes()
+    assert np.abs(ckpt.weights["00.embedding.table"][PAD_ID + 1 :]).max() > 0
+
+
 # Widths are raised above the scaled dims so that the lstm's batched GEMMs
 # (32 x 768 by 768 x 128) pass OpenBLAS's size threshold for threading.
 _TRAIN_LSTM = """
@@ -397,8 +406,28 @@ trainer.save(ckpt, sys.argv[1])
 """
 
 
-def test_lstm_checkpoint_bytes_equal_under_one_and_two_blas_threads(tmp_path):
-    paths = []
+# The cnn keeps its default widths: there the folded conv's GEMMs (dP is
+# 120 x 2432 by 2432 x 64 at batch 64) and the dense layer pass that threshold.
+_TRAIN_CNN = """
+import sys
+from costnet import autodiff as ad, trainer
+from costnet.data import GeneratorConfig, gen_synthetic
+folded, calls = ad._conv1d_folded, []
+ad._conv1d_folded = lambda *args: calls.append(1) or folded(*args)
+ds = gen_synthetic(GeneratorConfig("dga", 64, 64, seed=3, split="train"))
+cfg = trainer.TrainConfig(
+    learning_rate=0.01, epochs=2, batch_size=64, seed=0, gamma=1.0,
+    preset="cnn", max_len=40,
+)
+ckpt, _ = trainer.train(ds, cfg)
+assert calls, "the cnn did not train through the folded conv"
+trainer.save(ckpt, sys.argv[1])
+"""
+
+
+def _checkpoint_bytes_under_blas_threads(tmp_path, script) -> list[bytes]:
+    """The checkpoint ``script`` writes when run under 1 and under 2 BLAS threads."""
+    written = []
     for threads in ("1", "2"):
         env = dict(
             os.environ,
@@ -408,6 +437,16 @@ def test_lstm_checkpoint_bytes_equal_under_one_and_two_blas_threads(tmp_path):
             MKL_NUM_THREADS=threads,
         )
         path = tmp_path / f"threads{threads}.ckpt"
-        subprocess.run([sys.executable, "-c", _TRAIN_LSTM, str(path)], env=env, check=True, timeout=300)
-        paths.append(path)
-    assert paths[0].read_bytes() == paths[1].read_bytes()
+        subprocess.run([sys.executable, "-c", script, str(path)], env=env, check=True, timeout=300)
+        written.append(path.read_bytes())
+    return written
+
+
+def test_lstm_checkpoint_bytes_equal_under_one_and_two_blas_threads(tmp_path):
+    one, two = _checkpoint_bytes_under_blas_threads(tmp_path, _TRAIN_LSTM)
+    assert one == two
+
+
+def test_cnn_checkpoint_bytes_equal_under_one_and_two_blas_threads(tmp_path):
+    one, two = _checkpoint_bytes_under_blas_threads(tmp_path, _TRAIN_CNN)
+    assert one == two

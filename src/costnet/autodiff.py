@@ -168,18 +168,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _emit(out, (a, b), back)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    try:
-        out = a.data - b.data
-    except ValueError:
-        raise ShapeError(f"sub: shapes {a.shape} and {b.shape} do not broadcast")
-
-    def back(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
-
-    return _emit(out, (a, b), back)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     try:
         out = a.data * b.data
@@ -233,28 +221,6 @@ def tanh(x: Tensor) -> Tensor:
     return _emit(t, (x,), back)
 
 
-def log(x: Tensor) -> Tensor:
-    if (x.data <= 0).any():
-        raise DataError("log: input must be strictly positive")
-    out = np.log(x.data)
-
-    def back(g):
-        return (g / x.data,)
-
-    return _emit(out, (x,), back)
-
-
-def clip(x: Tensor, lo: float, hi: float) -> Tensor:
-    """Clamp into [lo, hi]; gradient passes through unclamped entries only."""
-    out = np.clip(x.data, lo, hi)
-    passthrough = (x.data >= lo) & (x.data <= hi)
-
-    def back(g):
-        return (g * passthrough,)
-
-    return _emit(out, (x,), back)
-
-
 # ---------------------------------------------------------------------------
 # reductions, reshapes
 
@@ -275,6 +241,27 @@ def tmean(x: Tensor) -> Tensor:
         return ((np.broadcast_to(g, x.shape) / x.size).astype(x.dtype, copy=False),)
 
     return _emit(out, (x,), back)
+
+
+def bce_with_logits(z: Tensor, y: np.ndarray, w: np.ndarray) -> Tensor:
+    """mean(w * (ln(1 + e^z) - y z)): weighted cross-entropy of a logit vector.
+
+    ``y`` holds the 0/1 labels and ``w`` the per-row weights, both aligned with
+    ``z`` and cast to its dtype. The value is finite at every finite logit and
+    the gradient, w (sigmoid(z) - y) / n, never vanishes on a wrong-side row.
+    """
+    y = np.asarray(y, dtype=z.dtype)
+    w = np.asarray(w, dtype=z.dtype)
+    if z.data.ndim != 1 or y.shape != z.shape or w.shape != z.shape:
+        raise ShapeError(f"bce_with_logits: {z.shape}, {y.shape}, {w.shape} are not one vector")
+    out = np.mean(w * (np.logaddexp(0, z.data) - y * z.data))
+
+    def back(g):
+        with np.errstate(over="ignore"):
+            s = _logistic(z.data)
+        return (g * w * (s - y) / z.size,)
+
+    return _emit(out, (z,), back)
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:

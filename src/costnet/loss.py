@@ -5,6 +5,7 @@ collapses to the unweighted loss (all costs exactly 1.0); gamma=1 makes the
 cost inversely proportional to class size. Normalized costs are rescaled so
 the dataset-mean per-sample weight is 1, which keeps the effective learning
 rate comparable across gamma values; raw mode keeps the literal costs.
+The loss reads the model's logit, not its probability, so it needs no clamp.
 """
 
 from __future__ import annotations
@@ -15,21 +16,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, ContractError, DataError
-
-#: probabilities are clamped into [EPS, 1 - EPS] before the logs
-EPS = 1e-7
-
-_clamp_count = 0
-
-
-def clamp_count() -> int:
-    """Number of probability entries clamped since the last reset."""
-    return _clamp_count
-
-
-def reset_clamp_count() -> None:
-    global _clamp_count
-    _clamp_count = 0
 
 
 @dataclass(frozen=True)
@@ -42,10 +28,9 @@ class ClassWeights:
     normalized: tuple[float, ...]
     normalize_flag: bool
 
-    def weights(self, use_normalized: bool | None = None) -> tuple[float, ...]:
-        if use_normalized is None:
-            use_normalized = self.normalize_flag
-        return self.normalized if use_normalized else self.raw
+    def weights(self) -> tuple[float, ...]:
+        """The costs the loss applies: normalized or raw, as ``normalize_flag`` says."""
+        return self.normalized if self.normalize_flag else self.raw
 
 
 def compute_class_weights(counts, gamma: float, normalize: bool = True) -> ClassWeights:
@@ -68,40 +53,22 @@ def compute_class_weights(counts, gamma: float, normalize: bool = True) -> Class
     )
 
 
-def weighted_bce(
-    probs: ad.Tensor,
-    labels,
-    weights: ClassWeights,
-    use_normalized: bool | None = None,
-) -> ad.Tensor:
-    """Mean over the batch of w_y * (-y ln p - (1-y) ln(1-p)).
+def weighted_bce(logits: ad.Tensor, labels, weights: ClassWeights) -> ad.Tensor:
+    """Mean over the batch of w_y * (-y ln p - (1-y) ln(1-p)), p = sigmoid(logit).
 
-    Differentiable through ``probs``. Probabilities at or beyond the open
-    interval (0, 1) are clamped to [EPS, 1-EPS]; every clamped entry bumps a
-    module-level counter so saturation is observable rather than silent.
+    Takes the model's logits and differentiates through them. It is evaluated
+    as w_y * (ln(1 + e^z) - y z) by ``ad.bce_with_logits``: finite at every
+    logit, with gradient w_y * (p - y) / n, so a confidently wrong row gets the
+    largest gradient rather than none.
     """
     y = np.asarray(labels)
-    if probs.data.ndim != 1 or y.shape != probs.shape:
+    if logits.data.ndim != 1 or y.shape != logits.shape:
         raise ContractError(
-            f"probs and labels must be aligned vectors, got {probs.shape} and {y.shape}"
+            f"logits and labels must be aligned vectors, got {logits.shape} and {y.shape}"
         )
     if not np.isin(y, (0, 1)).all():
         raise DataError("labels must be 0 or 1")
-    w = weights.weights(use_normalized)
+    w = weights.weights()
     if y.max(initial=0) >= len(w):
         raise DataError("weights missing an entry for a present class")
-
-    global _clamp_count
-    _clamp_count += int(np.count_nonzero((probs.data < EPS) | (probs.data > 1.0 - EPS)))
-
-    dt = probs.dtype
-    p = ad.clip(probs, EPS, 1.0 - EPS)
-    yv = y.astype(dt)
-    wv = np.where(y == 1, w[1] if len(w) > 1 else w[0], w[0]).astype(dt)
-    log_p = ad.log(p)
-    log_q = ad.log(ad.sub(ad.Tensor(np.ones_like(yv)), p))
-    nll = ad.sub(
-        ad.mul(ad.Tensor(-yv), log_p),
-        ad.mul(ad.Tensor(1.0 - yv), log_q),
-    )
-    return ad.tmean(ad.mul(ad.Tensor(wv), nll))
+    return ad.bce_with_logits(logits, y, np.asarray(w, logits.dtype)[y.astype(np.intp)])

@@ -1,8 +1,8 @@
 """Layer stacks and the four fixed architectures for binary text classification.
 
 Every preset starts with a 128-dim character embedding and ends in a
-single-unit dense layer under a sigmoid, producing one probability per
-sequence:
+single-unit dense layer, producing one logit per sequence; ``forward`` returns
+that logit for training and its sigmoid, the probability, for inference:
 
   dnn       flatten, then 512/384/256/128 relu layers with dropout 0.01 and
             batch normalization between the hidden layers
@@ -226,13 +226,12 @@ _KINDS: dict[str, _Kind] = {
         apply=lambda layer, h, get, run: ad.reshape(h, (h.shape[0], -1)),
     ),
     "relu": _Kind(apply=lambda layer, h, get, run: ad.relu(h)),
-    "sigmoid": _Kind(apply=lambda layer, h, get, run: ad.sigmoid(h)),
 }
 
 
 def _preset_layers(preset: str, dims: PresetDims) -> tuple[LayerSpec, ...]:
     emb = LayerSpec("embedding", dim=dims.embed_dim)
-    head = (LayerSpec("dense", units=1), LayerSpec("sigmoid"))
+    head = (LayerSpec("dense", units=1),)
     if preset == "dnn":
         layers = [emb, LayerSpec("flatten")]
         for i, width in enumerate(dims.dnn_widths):
@@ -358,11 +357,11 @@ def forward(
     mode: str = "infer",
     rng: np.random.Generator | None = None,
 ) -> ad.Tensor:
-    """Probability of the positive class per sequence.
+    """The positive-class logit per sequence in ``train`` mode, its probability in ``infer``.
 
     ``train`` mode draws dropout masks from ``rng`` and lets batchnorm use
-    (and update) batch statistics; ``infer`` mode is a pure function of the
-    inputs.
+    (and update) batch statistics; its logit feeds ``loss.weighted_bce``.
+    ``infer`` mode is a pure function of the inputs and applies the sigmoid.
     """
     if mode not in ("train", "infer"):
         raise ConfigError(f"mode must be 'train' or 'infer', got {mode!r}")
@@ -380,7 +379,8 @@ def forward(
     for idx, layer in enumerate(spec.layers):
         name = f"{idx:02d}.{layer.kind}"
         h = _KINDS[layer.kind].apply(layer, h, lambda suffix: arrays[f"{name}.{suffix}"], run)
-    return ad.reshape(h, (ids.shape[0],))
+    logit = ad.reshape(h, (ids.shape[0],))
+    return logit if run.training else ad.sigmoid(logit)
 
 
 def scaled_dims(factor: int = 16) -> PresetDims:

@@ -222,10 +222,8 @@ def train(
         for idx in epoch_batches(n, config.batch_size, loop_rng):
             batch = encoded.take(idx)
             with ad.Tape() as tape:
-                probs = models.forward(spec, params, batch, mode="train", rng=loop_rng)
-                loss = weighted_bce(
-                    probs, batch.labels, weights, use_normalized=config.normalize_weights
-                )
+                logits = models.forward(spec, params, batch, mode="train", rng=loop_rng)
+                loss = weighted_bce(logits, batch.labels, weights)
             grad_map = tape.gradients(loss)
             grads = {name: grad_map.get(t) for name, t in params.tensors.items()}
             adam_step(params.tensors, grads, state, config.learning_rate)
@@ -243,7 +241,7 @@ def train(
         "epochs": config.epochs,
         "batch_size": config.batch_size,
         "gamma": config.gamma,
-        "normalize_weights": config.normalize_weights,
+        "normalize_weights": weights.normalize_flag,
         "seed": config.seed,
         "class_counts": counts,
         "class_weights": list(weights.weights()),

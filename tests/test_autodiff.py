@@ -188,7 +188,7 @@ class TestElementwise:
     def test_smooth_ops_gradients(self):
         rng = np.random.default_rng(7)
         x = t64(rng.uniform(0.2, 0.8, size=6))
-        for op in (ad.sigmoid, ad.tanh, ad.log):
+        for op in (ad.sigmoid, ad.tanh):
             assert ad.grad_check(lambda v: ad.tsum(op(v)), x) < 1e-8
         tails = t64([-12.0, -3.0, -0.5, 0.0, 0.5, 3.0, 12.0])
         assert ad.grad_check(lambda v: ad.tsum(ad.sigmoid(v)), tails) < 1e-8

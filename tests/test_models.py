@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -41,8 +43,14 @@ class TestBuildModel:
         for preset in models.PRESETS:
             spec, _ = models.build_model(preset, 30, 50, seed=1)
             assert spec.layers[0].kind == "embedding" and spec.layers[0].dim == 128
-            assert spec.layers[-2].kind == "dense" and spec.layers[-2].units == 1
-            assert spec.layers[-1].kind == "sigmoid"
+            assert spec.layers[-1].kind == "dense" and spec.layers[-1].units == 1
+        # the sigmoid head is applied by infer mode to the train-mode logit
+        dims = replace(TINY, head_dropout=0.0)
+        spec, params = models.build_model("cnn", 20, 12, seed=1, dims=dims)
+        batch = random_batch(np.random.default_rng(5), 4, 12, 20)
+        logits = models.forward(spec, params, batch, mode="train", rng=np.random.default_rng(0))
+        probs = models.forward(spec, params, batch, mode="infer")
+        assert ad.sigmoid(logits).data.tobytes() == probs.data.tobytes()
 
     def test_unknown_preset(self):
         with pytest.raises(ConfigError, match="preset"):
@@ -147,8 +155,8 @@ class TestForward:
         batch = random_batch(np.random.default_rng(7), 6, 12, 20, pad_tail=5)
         w = compute_class_weights([1, 1], gamma=0.0)
         with ad.Tape() as tape:
-            probs = models.forward(spec, params, batch, mode="infer")
-            out = weighted_bce(probs, np.ones(6, dtype=int), w)
+            logits = models.forward(spec, params, batch, mode="train", rng=np.random.default_rng(0))
+            out = weighted_bce(logits, np.ones(6, dtype=int), w)
         table = params.tensors["00.embedding.table"]
         g = tape.gradients(out)[table]
         np.testing.assert_array_equal(g[PAD_ID], 0.0)
@@ -212,9 +220,9 @@ class TestEndToEndGradients:
                 params.tensors[name] = leaf
             # fresh generator per call keeps train-mode dropout fixed for
             # the finite-difference probes
-            probs = models.forward(
+            logits = models.forward(
                 spec, params, batch, mode="train", rng=np.random.default_rng(99)
             )
-            return weighted_bce(probs, labels, weights)
+            return weighted_bce(logits, labels, weights)
 
         assert ad.grad_check(f, tensors) < 1e-4

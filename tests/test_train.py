@@ -21,7 +21,7 @@ from costnet.errors import (
     ContractError,
     DataError,
 )
-from costnet.loss import ClassWeights
+from costnet.loss import ClassWeights, compute_class_weights
 from costnet.text import PAD_ID
 
 TINY = models.scaled_dims()
@@ -178,6 +178,19 @@ class TestTrainLoop:
         a, hist_a = train.train(ds, tiny_config(gamma=0.0))
         b, hist_b = train.train(ds, tiny_config(gamma=0.0), weights_override=unit)
         assert [h["loss"] for h in hist_a] == [h["loss"] for h in hist_b]
+
+    def test_override_weights_are_the_ones_trained_and_recorded(self):
+        # the config asks for raw costs, the override carries normalized ones:
+        # the loss and the checkpoint both follow the override
+        ds = gen_synthetic(GeneratorConfig("dga", 60, 10, seed=3, split="train"))
+        override = compute_class_weights([60, 10], 1.0, normalize=True)
+        ckpt, hist = train.train(
+            ds, tiny_config(gamma=1.0, normalize_weights=False), weights_override=override
+        )
+        _, hist_normalized = train.train(ds, tiny_config(gamma=1.0))
+        assert [h["loss"] for h in hist] == [h["loss"] for h in hist_normalized]
+        assert ckpt.hyperparameters["normalize_weights"] is True
+        assert ckpt.hyperparameters["class_weights"] == list(override.normalized)
 
     def test_loss_decreases_on_separable_data(self):
         ds = small_dga(n=150)
@@ -425,6 +438,22 @@ trainer.save(ckpt, sys.argv[1])
 """
 
 
+# The dnn keeps its default widths: its flattened 40 x 128 input makes the
+# first dense layer a 64 x 5120 by 5120 x 512 GEMM at batch 64.
+_TRAIN_DNN = """
+import sys
+from costnet import trainer
+from costnet.data import GeneratorConfig, gen_synthetic
+ds = gen_synthetic(GeneratorConfig("dga", 64, 64, seed=3, split="train"))
+cfg = trainer.TrainConfig(
+    learning_rate=0.01, epochs=2, batch_size=64, seed=0, gamma=1.0,
+    preset="dnn", max_len=40,
+)
+ckpt, _ = trainer.train(ds, cfg)
+trainer.save(ckpt, sys.argv[1])
+"""
+
+
 def _checkpoint_bytes_under_blas_threads(tmp_path, script) -> list[bytes]:
     """The checkpoint ``script`` writes when run under 1 and under 2 BLAS threads."""
     written = []
@@ -449,4 +478,9 @@ def test_lstm_checkpoint_bytes_equal_under_one_and_two_blas_threads(tmp_path):
 
 def test_cnn_checkpoint_bytes_equal_under_one_and_two_blas_threads(tmp_path):
     one, two = _checkpoint_bytes_under_blas_threads(tmp_path, _TRAIN_CNN)
+    assert one == two
+
+
+def test_dnn_checkpoint_bytes_equal_under_one_and_two_blas_threads(tmp_path):
+    one, two = _checkpoint_bytes_under_blas_threads(tmp_path, _TRAIN_DNN)
     assert one == two

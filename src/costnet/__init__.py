@@ -12,7 +12,7 @@ from .loss import ClassWeights, compute_class_weights, weighted_bce
 from .metrics import ConfusionMatrix, confusion, scores
 from .models import ModelSpec, Parameters, PresetDims, build_model, forward
 from .naive_bayes import NaiveBayesModel, nb_predict, nb_train
-from .text import CharVocabulary, EncodedBatch, encode, fit_vocab, ngram_counts
+from .text import CharVocabulary, encode, fit_vocab, ngram_counts
 from .trainer import Checkpoint, TrainConfig, evaluate, load, save, train
 
 __version__ = "0.1.0"
@@ -41,7 +41,6 @@ __all__ = [
     "nb_predict",
     "nb_train",
     "CharVocabulary",
-    "EncodedBatch",
     "encode",
     "fit_vocab",
     "ngram_counts",

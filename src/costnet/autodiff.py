@@ -234,15 +234,6 @@ def tsum(x: Tensor) -> Tensor:
     return _emit(out, (x,), back)
 
 
-def tmean(x: Tensor) -> Tensor:
-    out = x.data.mean()
-
-    def back(g):
-        return ((np.broadcast_to(g, x.shape) / x.size).astype(x.dtype, copy=False),)
-
-    return _emit(out, (x,), back)
-
-
 def bce_with_logits(z: Tensor, y: np.ndarray, w: np.ndarray) -> Tensor:
     """mean(w * (ln(1 + e^z) - y z)): weighted cross-entropy of a logit vector.
 

@@ -14,7 +14,6 @@ from . import autodiff as ad
 from . import models
 from .errors import ConfigError
 from .loss import compute_class_weights, weighted_bce
-from .text import EncodedBatch
 
 TOLERANCE = 1e-4
 
@@ -163,7 +162,6 @@ def _check_preset(preset: str) -> float:
         preset, 13, 8, seed=43, dims=models.scaled_dims(), dtype=np.float64
     )
     ids = rng.integers(2, 13, size=(3, 8))  # pad-free: the pad row is frozen
-    batch = EncodedBatch(ids=ids, lengths=np.full(3, 8))
     labels = np.array([0, 1, 1])
     w = compute_class_weights([2, 1], gamma=1.0)
     names = sorted(params.tensors)
@@ -172,7 +170,7 @@ def _check_preset(preset: str) -> float:
         for name, leaf in zip(names, leaves):
             params.tensors[name] = leaf
         logits = models.forward(
-            spec, params, batch, mode="train", rng=np.random.default_rng(7)
+            spec, params, ids, mode="train", rng=np.random.default_rng(7)
         )
         return weighted_bce(logits, labels, w)
 

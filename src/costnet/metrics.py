@@ -24,14 +24,6 @@ class ConfusionMatrix:
     def total(self) -> int:
         return self.tn + self.fp + self.fn + self.tp
 
-    def __add__(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
-        return ConfusionMatrix(
-            tn=self.tn + other.tn,
-            fp=self.fp + other.fp,
-            fn=self.fn + other.fn,
-            tp=self.tp + other.tp,
-        )
-
 
 def confusion(probs, labels, threshold: float = 0.5) -> ConfusionMatrix:
     """Threshold probabilities (predict positive iff prob >= threshold)."""

@@ -40,7 +40,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, EncodingError, ShapeError
-from .text import PAD_ID, EncodedBatch
+from .text import PAD_ID
 
 PRESETS = ("dnn", "cnn", "lstm", "cnn_lstm")
 
@@ -353,11 +353,13 @@ def build_model(
 def forward(
     spec: ModelSpec,
     params: Parameters,
-    batch: EncodedBatch,
+    ids: np.ndarray,
     mode: str = "infer",
     rng: np.random.Generator | None = None,
 ) -> ad.Tensor:
-    """The positive-class logit per sequence in ``train`` mode, its probability in ``infer``.
+    """The positive-class logit per row of ``ids`` in ``train`` mode, its probability in ``infer``.
+
+    ``ids`` is the ``[n, max_len]`` id matrix of ``text.encode_batch``.
 
     ``train`` mode draws dropout masks from ``rng`` and lets batchnorm use
     (and update) batch statistics; its logit feeds ``loss.weighted_bce``.
@@ -365,9 +367,8 @@ def forward(
     """
     if mode not in ("train", "infer"):
         raise ConfigError(f"mode must be 'train' or 'infer', got {mode!r}")
-    ids = batch.ids
     if ids.ndim != 2 or ids.shape[1] != spec.max_len:
-        raise ShapeError(f"batch ids must be [n, {spec.max_len}], got {ids.shape}")
+        raise ShapeError(f"ids must be [n, {spec.max_len}], got {ids.shape}")
     if ids.min(initial=0) < 0 or ids.max(initial=0) >= spec.vocab_size:
         raise EncodingError(
             f"token ids must be in [0, {spec.vocab_size}), got "

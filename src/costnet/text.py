@@ -4,12 +4,13 @@ Everything is lowercased: domains are case-insensitive and we keep one rule
 across use cases. Sequences are prefix-truncated to max_len and right-padded;
 id 0 is PAD, id 1 is OOV, real characters start at id 2 in lexicographic
 order so rebuilding from the same corpus always yields the same mapping.
+A batch of texts becomes a plain int64 ``[n, max_len]`` id matrix, the input
+``models.forward`` reads.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,12 +46,6 @@ class CharVocabulary:
     def id_for(self, char: str) -> int:
         return self._ids.get(char, OOV_ID)
 
-    def char_for(self, idx: int) -> str | None:
-        """Inverse mapping; PAD/OOV ids have no character."""
-        if 2 <= idx < self.size:
-            return self.chars[idx - 2]
-        return None
-
     def __eq__(self, other) -> bool:
         return isinstance(other, CharVocabulary) and self.chars == other.chars
 
@@ -75,36 +70,11 @@ def encode(text: str, vocab: CharVocabulary, max_len: int) -> list[int]:
     return ids
 
 
-@dataclass
-class EncodedBatch:
-    """Fixed-length padded id matrix plus bookkeeping."""
-
-    ids: np.ndarray  # int64 [n, max_len]
-    lengths: np.ndarray  # original (untruncated) text lengths
-    labels: np.ndarray | None = None
-
-    def __len__(self) -> int:
-        return self.ids.shape[0]
-
-    def take(self, indices) -> "EncodedBatch":
-        return EncodedBatch(
-            ids=self.ids[indices],
-            lengths=self.lengths[indices],
-            labels=None if self.labels is None else self.labels[indices],
-        )
-
-
-def encode_batch(texts, vocab: CharVocabulary, max_len: int, labels=None) -> EncodedBatch:
+def encode_batch(texts, vocab: CharVocabulary, max_len: int) -> np.ndarray:
+    """The int64 ``[n, max_len]`` id matrix whose rows are ``encode`` of each text."""
     texts = list(texts)
     ids = np.array([encode(t, vocab, max_len) for t in texts], dtype=np.int64)
-    ids = ids.reshape(len(texts), max_len)
-    lengths = np.array([len(t) for t in texts], dtype=np.int64)
-    lab = None
-    if labels is not None:
-        lab = np.asarray(labels, dtype=np.int64)
-        if lab.shape != (len(texts),):
-            raise DataError("labels must align one-to-one with texts")
-    return EncodedBatch(ids=ids, lengths=lengths, labels=lab)
+    return ids.reshape(len(texts), max_len)
 
 
 def ngram_counts(text: str, n_lo: int, n_hi: int) -> NgramCounts:

@@ -1,4 +1,4 @@
-"""Training loop, Adam optimizer, evaluation, and model persistence.
+"""Training loop, Adam optimizer, scoring, evaluation, and model persistence.
 
 Both training paths share one code path: gamma=0 yields per-class weights of
 exactly 1.0 (the cost-insensitive run), gamma>0 up-weights the minority
@@ -212,26 +212,26 @@ def train(
     spec, params = models.build_model(
         config.preset, vocab.size, max_len, config.seed, dims=config.dims
     )
-    encoded = encode_batch(dataset.texts, vocab, max_len, labels=dataset.labels)
+    ids = encode_batch(dataset.texts, vocab, max_len)
+    labels = np.asarray(dataset.labels, dtype=np.int64)
     state = AdamState()
     loop_rng = np.random.default_rng([config.seed, 1])
-    n = len(encoded)
+    n = len(labels)
     history: list[dict] = []
     for epoch in range(1, config.epochs + 1):
         total = 0.0
         for idx in epoch_batches(n, config.batch_size, loop_rng):
-            batch = encoded.take(idx)
             with ad.Tape() as tape:
-                logits = models.forward(spec, params, batch, mode="train", rng=loop_rng)
-                loss = weighted_bce(logits, batch.labels, weights)
+                logits = models.forward(spec, params, ids[idx], mode="train", rng=loop_rng)
+                loss = weighted_bce(logits, labels[idx], weights)
             grad_map = tape.gradients(loss)
             grads = {name: grad_map.get(t) for name, t in params.tensors.items()}
             adam_step(params.tensors, grads, state, config.learning_rate)
             total += loss.item() * len(idx)
         entry: dict = {"epoch": epoch, "loss": total / n}
         if config.eval_every and epoch % config.eval_every == 0:
-            probs = _forward_all(spec, params, encoded)
-            entry["train_metrics"] = metrics_report(confusion(probs, encoded.labels))
+            probs = _forward_all(spec, params, ids)
+            entry["train_metrics"] = metrics_report(confusion(probs, labels))
         history.append(entry)
         if on_epoch is not None:
             on_epoch(epoch, entry["loss"])
@@ -240,10 +240,10 @@ def train(
         "learning_rate": config.learning_rate,
         "epochs": config.epochs,
         "batch_size": config.batch_size,
-        "gamma": config.gamma,
+        "gamma": weights.gamma,
         "normalize_weights": weights.normalize_flag,
         "seed": config.seed,
-        "class_counts": counts,
+        "class_counts": list(weights.counts),
         "class_weights": list(weights.weights()),
         "dims": asdict(config.dims),
     }
@@ -292,71 +292,63 @@ def _checkpoint_spec(ckpt: Checkpoint) -> models.ModelSpec:
     return models.model_spec(ckpt.preset, len(ckpt.vocab) + 2, ckpt.max_len, dims=dims)
 
 
-def _rebuild_neural(ckpt: Checkpoint) -> tuple[models.ModelSpec, models.Parameters]:
-    """The checkpoint's arrays as the model's parameters; no weight init runs."""
+def _forward_all(spec, params, ids) -> np.ndarray:
+    """Infer-mode probabilities of every row, scored in views of ``_EVAL_BATCH`` rows."""
+    chunks = [
+        models.forward(spec, params, ids[start : start + _EVAL_BATCH], mode="infer").data
+        for start in range(0, len(ids), _EVAL_BATCH)
+    ]
+    return np.concatenate(chunks)
+
+
+def predict_probabilities(ckpt: Checkpoint, texts) -> np.ndarray:
+    """Positive-class probability of each raw string; the one scoring path.
+
+    ``evaluate``, ``predict_probability`` and the CLI all score through here.
+    A neural checkpoint's arrays become the model's parameters without any
+    weight init, the texts are encoded once, and a warning is logged when
+    most of their characters are out of the model's vocabulary.
+    """
+    texts = list(texts)
+    if not texts:
+        raise ContractError("cannot score an empty list of texts")
+    if ckpt.preset == "naive_bayes":
+        lo, hi = ckpt.hyperparameters["n_range"]
+        model = NaiveBayesModel(
+            class_log_prior=np.asarray(ckpt.weights["class_log_prior"], dtype=np.float64),
+            token_log_prob=np.asarray(ckpt.weights["token_log_prob"], dtype=np.float64),
+            tokens=tuple(ckpt.vocab),
+            alpha=float(ckpt.hyperparameters["alpha"]),
+            n_range=(lo, hi),
+        )
+        return np.array([nb_positive_probability(model, ngram_counts(t, lo, hi)) for t in texts])
     spec = _checkpoint_spec(ckpt)
     arrays = {
         name: np.ascontiguousarray(arr, dtype=ad.DEFAULT_DTYPE)
         for name, arr in ckpt.weights.items()
     }
-    return spec, models.assemble_parameters(spec, arrays)
-
-
-def _rebuild_nb(ckpt: Checkpoint) -> NaiveBayesModel:
-    lo, hi = ckpt.hyperparameters["n_range"]
-    return NaiveBayesModel(
-        class_log_prior=np.asarray(ckpt.weights["class_log_prior"], dtype=np.float64),
-        token_log_prob=np.asarray(ckpt.weights["token_log_prob"], dtype=np.float64),
-        tokens=tuple(ckpt.vocab),
-        alpha=float(ckpt.hyperparameters["alpha"]),
-        n_range=(lo, hi),
-    )
-
-
-def _forward_all(spec, params, encoded) -> np.ndarray:
-    chunks = []
-    for start in range(0, len(encoded), _EVAL_BATCH):
-        batch = encoded.take(np.arange(start, min(start + _EVAL_BATCH, len(encoded))))
-        chunks.append(models.forward(spec, params, batch, mode="infer").data)
-    return np.concatenate(chunks)
+    params = models.assemble_parameters(spec, arrays)
+    ids = encode_batch(texts, CharVocabulary(ckpt.vocab), ckpt.max_len)
+    real = ids != PAD_ID
+    oov_rate = float(np.count_nonzero(ids[real] == OOV_ID)) / max(1, int(np.count_nonzero(real)))
+    if oov_rate > 0.5:
+        logger.warning(
+            "vocabulary mismatch: %.0f%% of characters are out-of-vocabulary; "
+            "was this model trained on the same use case?",
+            100 * oov_rate,
+        )
+    return _forward_all(spec, params, ids)
 
 
 def evaluate(ckpt: Checkpoint, dataset: LabeledDataset) -> dict:
     """Infer-mode scoring of a labeled dataset; flat metrics dict."""
-    if len(dataset) == 0:
-        raise ContractError("cannot evaluate an empty dataset")
-    if ckpt.preset == "naive_bayes":
-        model = _rebuild_nb(ckpt)
-        probs = np.array(
-            [nb_positive_probability(model, ngram_counts(t, *model.n_range)) for t in dataset.texts]
-        )
-    else:
-        spec, params = _rebuild_neural(ckpt)
-        vocab = CharVocabulary(ckpt.vocab)
-        encoded = encode_batch(dataset.texts, vocab, ckpt.max_len, labels=dataset.labels)
-        real = encoded.ids != PAD_ID
-        oov_rate = float(np.count_nonzero(encoded.ids[real] == OOV_ID)) / max(
-            1, int(np.count_nonzero(real))
-        )
-        if oov_rate > 0.5:
-            logger.warning(
-                "evaluation vocabulary mismatch: %.0f%% of characters are "
-                "out-of-vocabulary; was this model trained on the same use case?",
-                100 * oov_rate,
-            )
-        probs = _forward_all(spec, params, encoded)
+    probs = predict_probabilities(ckpt, dataset.texts)
     return metrics_report(confusion(probs, np.asarray(dataset.labels)))
 
 
 def predict_probability(ckpt: Checkpoint, text: str) -> float:
-    """Positive-class probability for one raw string."""
-    if ckpt.preset == "naive_bayes":
-        model = _rebuild_nb(ckpt)
-        return nb_positive_probability(model, ngram_counts(text, *model.n_range))
-    spec, params = _rebuild_neural(ckpt)
-    vocab = CharVocabulary(ckpt.vocab)
-    encoded = encode_batch([text], vocab, ckpt.max_len)
-    return float(models.forward(spec, params, encoded, mode="infer").data[0])
+    """Positive-class probability for one raw string, scored as a batch of one."""
+    return float(predict_probabilities(ckpt, [text])[0])
 
 
 # ---------------------------------------------------------------------------

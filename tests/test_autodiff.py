@@ -368,7 +368,7 @@ class TestInvariantsAndHygiene:
         w = t64(rng.uniform(-1.0, 1.0, size=(3, 2)))
 
         def f(x_, w_):
-            return ad.tmean(ad.tanh(ad.matmul(ad.sigmoid(x_), w_)))
+            return ad.tsum(ad.tanh(ad.matmul(ad.sigmoid(x_), w_)))
 
         assert ad.grad_check(f, [x, w]) < 1e-4
 

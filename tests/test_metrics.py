@@ -24,13 +24,6 @@ class TestConfusion:
         with pytest.raises(ContractError):
             confusion([0.5, 0.5], [1])
 
-    def test_merge_is_commutative_and_associative(self):
-        a = ConfusionMatrix(1, 2, 3, 4)
-        b = ConfusionMatrix(5, 6, 7, 8)
-        c = ConfusionMatrix(9, 0, 1, 2)
-        assert a + b == b + a
-        assert (a + b) + c == a + (b + c)
-
 
 class TestScores:
     def test_published_email_nb_row(self):

@@ -7,17 +7,16 @@ from costnet import autodiff as ad
 from costnet import models
 from costnet.errors import ConfigError, EncodingError
 from costnet.loss import compute_class_weights, weighted_bce
-from costnet.text import PAD_ID, EncodedBatch, encode_batch, fit_vocab
+from costnet.text import PAD_ID, encode_batch, fit_vocab
 
 TINY = models.scaled_dims()
 
 
-def random_batch(rng, n, max_len, vocab_size, pad_tail=0):
+def random_ids(rng, n, max_len, vocab_size, pad_tail=0):
     ids = rng.integers(2, vocab_size, size=(n, max_len))
     if pad_tail:
         ids[:, -pad_tail:] = PAD_ID
-    lengths = np.full(n, max_len - pad_tail)
-    return EncodedBatch(ids=ids, lengths=lengths)
+    return ids
 
 
 class TestBuildModel:
@@ -47,9 +46,9 @@ class TestBuildModel:
         # the sigmoid head is applied by infer mode to the train-mode logit
         dims = replace(TINY, head_dropout=0.0)
         spec, params = models.build_model("cnn", 20, 12, seed=1, dims=dims)
-        batch = random_batch(np.random.default_rng(5), 4, 12, 20)
-        logits = models.forward(spec, params, batch, mode="train", rng=np.random.default_rng(0))
-        probs = models.forward(spec, params, batch, mode="infer")
+        ids = random_ids(np.random.default_rng(5), 4, 12, 20)
+        logits = models.forward(spec, params, ids, mode="train", rng=np.random.default_rng(0))
+        probs = models.forward(spec, params, ids, mode="infer")
         assert ad.sigmoid(logits).data.tobytes() == probs.data.tobytes()
 
     def test_unknown_preset(self):
@@ -106,8 +105,8 @@ class TestLstmLayer:
             if ".lstm." in key:
                 params.tensors[key].data[:] = 0.0
         rng = np.random.default_rng(0)
-        batch = random_batch(rng, 3, 5, 10)
-        x = ad.embedding(params.tensors["00.embedding.table"], batch.ids)
+        ids = random_ids(rng, 3, 5, 10)
+        x = ad.embedding(params.tensors["00.embedding.table"], ids)
         out = ad.lstm(
             x,
             params.tensors["01.lstm.w_x"],
@@ -120,42 +119,42 @@ class TestLstmLayer:
 class TestForward:
     def test_cnn_probabilities_in_open_interval(self):
         spec, params = models.build_model("cnn", 40, 100, seed=0)
-        batch = random_batch(np.random.default_rng(1), 32, 100, 40)
-        probs = models.forward(spec, params, batch, mode="infer")
+        ids = random_ids(np.random.default_rng(1), 32, 100, 40)
+        probs = models.forward(spec, params, ids, mode="infer")
         assert probs.shape == (32,)
         assert (probs.data > 0).all() and (probs.data < 1).all()
 
     def test_infer_mode_deterministic(self):
         spec, params = models.build_model("cnn_lstm", 30, 40, seed=2, dims=TINY)
-        batch = random_batch(np.random.default_rng(5), 8, 40, 30)
-        a = models.forward(spec, params, batch, mode="infer")
-        b = models.forward(spec, params, batch, mode="infer")
+        ids = random_ids(np.random.default_rng(5), 8, 40, 30)
+        a = models.forward(spec, params, ids, mode="infer")
+        b = models.forward(spec, params, ids, mode="infer")
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_train_mode_dropout_needs_rng(self):
         spec, params = models.build_model("cnn", 20, 12, seed=0, dims=TINY)
-        batch = random_batch(np.random.default_rng(3), 4, 12, 20)
+        ids = random_ids(np.random.default_rng(3), 4, 12, 20)
         with pytest.raises(ConfigError):
-            models.forward(spec, params, batch, mode="train", rng=None)
+            models.forward(spec, params, ids, mode="train", rng=None)
 
     def test_out_of_vocab_ids_rejected(self):
         spec, params = models.build_model("cnn", 20, 12, seed=0, dims=TINY)
         ids = np.full((2, 12), 25)
         with pytest.raises(EncodingError):
-            models.forward(spec, params, EncodedBatch(ids, np.full(2, 12)), mode="infer")
+            models.forward(spec, params, ids, mode="infer")
 
     def test_bad_mode(self):
         spec, params = models.build_model("cnn", 20, 12, seed=0, dims=TINY)
-        batch = random_batch(np.random.default_rng(3), 4, 12, 20)
+        ids = random_ids(np.random.default_rng(3), 4, 12, 20)
         with pytest.raises(ConfigError):
-            models.forward(spec, params, batch, mode="test")
+            models.forward(spec, params, ids, mode="test")
 
     def test_pad_positions_leave_embedding_row_untouched(self):
         spec, params = models.build_model("cnn", 20, 12, seed=4, dims=TINY)
-        batch = random_batch(np.random.default_rng(7), 6, 12, 20, pad_tail=5)
+        ids = random_ids(np.random.default_rng(7), 6, 12, 20, pad_tail=5)
         w = compute_class_weights([1, 1], gamma=0.0)
         with ad.Tape() as tape:
-            logits = models.forward(spec, params, batch, mode="train", rng=np.random.default_rng(0))
+            logits = models.forward(spec, params, ids, mode="train", rng=np.random.default_rng(0))
             out = weighted_bce(logits, np.ones(6, dtype=int), w)
         table = params.tensors["00.embedding.table"]
         g = tape.gradients(out)[table]
@@ -165,8 +164,8 @@ class TestForward:
     def test_forward_on_real_encoded_text(self):
         vocab = fit_vocab(["abc.com", "xyz.net"])
         spec, params = models.build_model("lstm", vocab.size, 10, seed=0, dims=TINY)
-        batch = encode_batch(["abc.com", "zz.net"], vocab, 10)
-        probs = models.forward(spec, params, batch, mode="infer")
+        ids = encode_batch(["abc.com", "zz.net"], vocab, 10)
+        probs = models.forward(spec, params, ids, mode="infer")
         assert probs.shape == (2,)
 
 
@@ -195,8 +194,8 @@ def test_forward_looks_ops_up_on_the_module_at_call_time(monkeypatch, preset, mo
     calls = dict.fromkeys(TRACED_OPS, 0)
     for op in TRACED_OPS:
         monkeypatch.setattr(ad, op, _counting(calls, op, getattr(ad, op)))
-    batch = random_batch(np.random.default_rng(2), 4, 12, 20)
-    models.forward(spec, params, batch, mode=mode, rng=np.random.default_rng(0))
+    ids = random_ids(np.random.default_rng(2), 4, 12, 20)
+    models.forward(spec, params, ids, mode=mode, rng=np.random.default_rng(0))
     assert calls == {**dict.fromkeys(TRACED_OPS, 0), **PRESET_OP_CALLS[preset]}
 
 
@@ -209,7 +208,7 @@ class TestEndToEndGradients:
         )
         # pad-free batch: the frozen pad row is a constrained constant, so it
         # is not a free coordinate for the finite-difference probe
-        batch = random_batch(rng, 3, 8, 13)
+        ids = random_ids(rng, 3, 8, 13)
         labels = np.array([0, 1, 1])
         weights = compute_class_weights([2, 1], gamma=1.0)
         names = sorted(params.tensors)
@@ -221,7 +220,7 @@ class TestEndToEndGradients:
             # fresh generator per call keeps train-mode dropout fixed for
             # the finite-difference probes
             logits = models.forward(
-                spec, params, batch, mode="train", rng=np.random.default_rng(99)
+                spec, params, ids, mode="train", rng=np.random.default_rng(99)
             )
             return weighted_bce(logits, labels, weights)
 

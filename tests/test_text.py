@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -60,18 +61,16 @@ def test_encode_bad_max_len():
 def test_encode_decode_identity_on_known_prefix(text):
     vocab = fit_vocab([text])
     ids = encode(text, vocab, 10)
-    decoded = "".join(vocab.char_for(i) for i in ids if i >= 2)
+    decoded = "".join(vocab.chars[i - 2] for i in ids if i >= 2)
     assert decoded == text.lower()[:10]
 
 
 def test_encode_batch_shapes():
     vocab = fit_vocab(["ab"])
-    batch = encode_batch(["a", "abab"], vocab, 3, labels=[0, 1])
-    assert batch.ids.shape == (2, 3)
-    assert list(batch.lengths) == [1, 4]
-    assert list(batch.labels) == [0, 1]
-    taken = batch.take([1])
-    assert taken.ids.shape == (1, 3) and taken.labels[0] == 1
+    ids = encode_batch(["a", "abab"], vocab, 3)
+    assert ids.shape == (2, 3) and ids.dtype == np.int64
+    assert ids.tolist() == [encode("a", vocab, 3), encode("abab", vocab, 3)]
+    assert encode_batch([], vocab, 3).shape == (0, 3)
 
 
 def test_ngram_counts_bigrams():

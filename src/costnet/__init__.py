@@ -11,7 +11,7 @@ from .data import GeneratorConfig, LabeledDataset, class_counts, gen_synthetic, 
 from .loss import ClassWeights, compute_class_weights, weighted_bce
 from .metrics import ConfusionMatrix, confusion, scores
 from .models import ModelSpec, Parameters, PresetDims, build_model, forward
-from .naive_bayes import NaiveBayesModel, nb_predict, nb_train
+from .naive_bayes import NaiveBayesModel, nb_train
 from .text import CharVocabulary, encode, fit_vocab, ngram_counts
 from .trainer import Checkpoint, TrainConfig, evaluate, load, save, train
 
@@ -38,7 +38,6 @@ __all__ = [
     "build_model",
     "forward",
     "NaiveBayesModel",
-    "nb_predict",
     "nb_train",
     "CharVocabulary",
     "encode",

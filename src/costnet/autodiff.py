@@ -6,6 +6,12 @@ and any input of an op requires a gradient, the op records a node holding the
 backward rule; ``t.gradients(loss)`` replays the nodes in reverse and returns
 a map from leaf tensors to gradient arrays.
 
+``embedding`` is the one op that returns no Tensor. Its ``Lookup`` record
+hands ``(table, ids, pad_id)`` to the op that reads it, and that op gathers
+only what it needs: ``conv1d_valid`` and ``lstm`` fold the lookup into their
+first product and differentiate the table directly, and ``reshape`` gathers
+the rows themselves.
+
 Numerics: float32 is the working precision, float64 is used for gradient
 checking. All op outputs are validated to be finite, so a diverging training
 run fails loudly instead of silently poisoning weights with NaN.
@@ -16,7 +22,7 @@ mutates parameter data, single-threaded); one tape belongs to one thread.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,12 +35,9 @@ class Tensor:
     """N-dimensional array of finite reals, optionally tracked for gradients.
 
     Hashed by identity, since tapes key gradients by tensor; so no ``__eq__``.
-    ``source`` is ``(table, ids, pad_id)`` on the output of ``embedding`` and
-    ``None`` on every other tensor: ``conv1d_valid`` and ``lstm`` read it to
-    fold the lookup into their first product.
     """
 
-    __slots__ = ("data", "requires_grad", "source")
+    __slots__ = ("data", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
@@ -48,7 +51,6 @@ class Tensor:
             raise DataError("tensor contains NaN or Inf values")
         self.data = arr
         self.requires_grad = bool(requires_grad)
-        self.source = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -212,15 +214,6 @@ def sigmoid(x: Tensor) -> Tensor:
     return _emit(s, (x,), back)
 
 
-def tanh(x: Tensor) -> Tensor:
-    t = np.tanh(x.data)
-
-    def back(g):
-        return (g * (1 - t * t),)
-
-    return _emit(t, (x,), back)
-
-
 # ---------------------------------------------------------------------------
 # reductions, reshapes
 
@@ -255,13 +248,34 @@ def bce_with_logits(z: Tensor, y: np.ndarray, w: np.ndarray) -> Tensor:
     return _emit(out, (z,), back)
 
 
-def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
-    out = x.data.reshape(shape)
+def reshape(x: Tensor | Lookup, shape: tuple[int, ...]) -> Tensor:
+    """``x`` in a new shape; given a ``Lookup``, its gathered rows in that shape.
 
-    def back(g):
-        return (g.reshape(x.shape),)
+    The gather's gradient scatters back with accumulation over repeated ids;
+    the pad row (if given) is kept frozen by skipping its positions in the
+    scatter.
+    """
+    if not isinstance(x, Lookup):
+        out = x.data.reshape(shape)
 
-    return _emit(out, (x,), back)
+        def back(g):
+            return (g.reshape(x.shape),)
+
+        return _emit(out, (x,), back)
+    table, ids, pad_id = x
+    rows = table.data[ids].reshape(shape)
+
+    def gather_back(g):
+        dt = np.zeros_like(table.data)
+        flat_ids, g_rows = ids.reshape(-1), g.reshape(-1, table.shape[1])
+        if pad_id is not None:
+            # the remaining rows keep their order, so each sum is unchanged
+            keep = flat_ids != pad_id
+            flat_ids, g_rows = flat_ids[keep], g_rows[keep]
+        np.add.at(dt, flat_ids, g_rows)
+        return (dt,)
+
+    return _emit(rows, (table,), gather_back)
 
 
 # ---------------------------------------------------------------------------
@@ -281,37 +295,35 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _emit(out, (a, b), back)
 
 
-def embedding(table: Tensor, ids: np.ndarray, pad_id: int | None = 0) -> Tensor:
-    """Gather rows of ``table`` by integer id.
+class Lookup(NamedTuple):
+    """Rows ``ids`` of a ``[vocab, dim]`` table, not yet gathered.
 
-    Gradient scatters back with accumulation over repeated ids; the pad row
-    (if given) is kept frozen by skipping its positions in the scatter. The
-    output remembers ``(table, ids, pad_id)`` as its ``source``, so a
-    ``conv1d_valid`` or ``lstm`` reading it differentiates the table directly
-    and this scatter never runs.
+    ``pad_id`` names the row the lookup keeps frozen, or is ``None``.
+    """
+
+    table: Tensor
+    ids: np.ndarray
+    pad_id: int | None
+
+
+def embedding(table: Tensor, ids: np.ndarray, pad_id: int | None = 0) -> Lookup:
+    """Look rows of ``table`` up by integer id, leaving the gather to the reader.
+
+    Checks the ids against the table and the table for NaN or Inf, and
+    returns a ``Lookup``: no gather, no tensor and no tape node.
+    ``conv1d_valid`` and ``lstm`` fold it into their first product; ``reshape``
+    gathers it. The table is checked here because no output check can stand in
+    for it: the lstm's gates saturate, so an infinite entry leaves its output
+    finite.
     """
     ids = np.asarray(ids)
     if ids.min(initial=0) < 0 or (ids.size and ids.max() >= table.shape[0]):
         raise ShapeError(
             f"embedding: ids out of range for table with {table.shape[0]} rows"
         )
-    out = table.data[ids]
-
-    def back(g):
-        if not table.requires_grad:
-            return (None,)
-        dt = np.zeros_like(table.data)
-        flat_ids, rows = ids.reshape(-1), g.reshape(-1, table.shape[1])
-        if pad_id is not None:
-            # the remaining rows keep their order, so each sum is unchanged
-            keep = flat_ids != pad_id
-            flat_ids, rows = flat_ids[keep], rows[keep]
-        np.add.at(dt, flat_ids, rows)
-        return (dt,)
-
-    out = _emit(out, (table,), back)
-    out.source = (table, ids, pad_id)
-    return out
+    if not np.isfinite(table.data).all():
+        raise DataError("embedding: table contains NaN or Inf values")
+    return Lookup(table, ids, pad_id)
 
 
 def _onehot(ids: np.ndarray, width: int, dtype) -> np.ndarray:
@@ -325,27 +337,29 @@ def _onehot(ids: np.ndarray, width: int, dtype) -> np.ndarray:
 # sequence ops
 
 
-def conv1d_valid(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
-    """Valid (unpadded) cross-correlation over the time axis.
+def conv1d_valid(x: Lookup, kernels: Tensor, bias: Tensor) -> Tensor:
+    """Valid (unpadded) cross-correlation over the time axis of a lookup.
 
-    x: [batch, len, in_ch], kernels: [k, in_ch, out_ch], bias: [out_ch]
+    x: ``Lookup`` of a [vocab, in_ch] table E by [batch, len] ids,
+    kernels: [k, in_ch, out_ch], bias: [out_ch]
     returns [batch, len - k + 1, out_ch].
 
-    When ``x`` is the output of ``embedding`` (its ``source`` is set), the
-    lookup is folded in: with table E, ``P_j = E @ K_j`` is a small
-    ``[vocab, out_ch]`` table per tap and the output is
-    ``bias + sum_j P_j[ids[:, j:j+n]]``. The node then records E, not x, as
-    its input: ``dP = onehot_windows^T @ g`` is one GEMM, ``dK_j = E^T @ dP_j``
-    and ``dE = sum_j dP_j @ K_j^T`` with the pad row zeroed, so neither the
-    im2col copy nor the embedding's scatter runs. Any other x takes the
-    im2col path.
+    The lookup is folded in: ``P_j = E @ K_j`` is a small ``[vocab, out_ch]``
+    table per tap and the output is ``bias + sum_j P_j[ids[:, j:j+n]]``. The
+    node records E as its input: ``dP = onehot_windows^T @ g`` is one GEMM,
+    ``dK_j = E^T @ dP_j`` and ``dE = sum_j dP_j @ K_j^T`` with the pad row
+    zeroed, so the ``[batch, len, in_ch]`` activation is never built.
     """
-    if x.data.ndim != 3 or kernels.data.ndim != 3 or bias.data.ndim != 1:
+    if not isinstance(x, Lookup):
+        raise ContractError(f"conv1d: expected an embedding lookup, got {type(x).__name__}")
+    table, ids, pad_id = x
+    if ids.ndim != 2 or kernels.data.ndim != 3 or bias.data.ndim != 1:
         raise ShapeError(
-            f"conv1d: expected 3d x, 3d kernels, 1d bias, got {x.shape}, "
+            f"conv1d: expected 2d ids, 3d kernels, 1d bias, got {ids.shape}, "
             f"{kernels.shape}, {bias.shape}"
         )
-    batch, length, in_ch = x.shape
+    batch, length = ids.shape
+    vocab, in_ch = table.shape
     k, k_in, out_ch = kernels.shape
     if k_in != in_ch:
         raise ShapeError(f"conv1d: channel mismatch {in_ch} vs {k_in}")
@@ -354,37 +368,6 @@ def conv1d_valid(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     if length < k:
         raise ShapeError(f"conv1d: sequence too short, len {length} < kernel {k}")
     out_len = length - k + 1
-    if x.source is not None:
-        return _conv1d_folded(x.source, kernels, bias, out_len)
-    # im2col: one large matmul instead of a python loop over positions
-    windows = np.lib.stride_tricks.sliding_window_view(x.data, k, axis=1)
-    flat = np.ascontiguousarray(windows.transpose(0, 1, 3, 2)).reshape(
-        batch * out_len, k * in_ch
-    )
-    kflat = kernels.data.reshape(k * in_ch, out_ch)
-    out = (flat @ kflat).reshape(batch, out_len, out_ch) + bias.data
-
-    def back(g):
-        gflat = g.reshape(batch * out_len, out_ch)
-        dk = (flat.T @ gflat).reshape(k, in_ch, out_ch) if kernels.requires_grad else None
-        db = g.sum(axis=(0, 1)) if bias.requires_grad else None
-        dx = None
-        if x.requires_grad:
-            dwin = (gflat @ kflat.T).reshape(batch, out_len, k, in_ch)
-            dx = np.zeros_like(x.data)
-            for j in range(k):
-                dx[:, j : j + out_len, :] += dwin[:, :, j, :]
-        return dx, dk, db
-
-    return _emit(out, (x, kernels, bias), back)
-
-
-def _conv1d_folded(source, kernels: Tensor, bias: Tensor, out_len: int) -> Tensor:
-    """``conv1d_valid`` of an embedding output, computed from the table."""
-    table, ids, pad_id = source
-    vocab = table.shape[0]
-    k, in_ch, out_ch = kernels.shape
-    batch = ids.shape[0]
     # row j * vocab + v of ptab is P_j[v]; window (b, t) reads rows cols[b, t]
     ptab = np.matmul(table.data, kernels.data).reshape(k * vocab, out_ch)
     cols = np.lib.stride_tricks.sliding_window_view(ids, k, axis=1) + np.arange(k) * vocab
@@ -448,7 +431,7 @@ def maxpool1d(x: Tensor, pool: int) -> Tensor:
     return _emit(out, (x,), back)
 
 
-def lstm(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor) -> Tensor:
+def lstm(x: Tensor | Lookup, w_x: Tensor, w_h: Tensor, b: Tensor) -> Tensor:
     """Gated recurrence over [batch, len, dim]; returns the final hidden state.
 
     Gate layout along the 4h axis is (input, forget, candidate, output):
@@ -470,16 +453,22 @@ def lstm(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor) -> Tensor:
     Then ``dw_x = X^T @ DZ``, ``dw_h = H_prev^T @ DZ``, ``db = sum(DZ)`` and
     ``dx = DZ @ w_x^T`` are one GEMM or one sum each over all steps.
 
-    When ``x`` is the output of ``embedding`` (its ``source`` is set), the
-    lookup is folded into the input projection: with table E,
-    ``z_in = (E @ w_x)[ids^T]``, and the node records E, not x, as its input.
-    Its x-side backward is then ``dQ = onehot^T @ DZ``, ``dw_x = E^T @ dQ`` and
+    ``x`` is a [batch, len, dim] tensor or a ``Lookup`` of a [vocab, dim]
+    table E by [batch, len] ids. A lookup is folded into the input projection,
+    ``z_in = (E @ w_x)[ids^T]``, and the node records E as its input. Its
+    x-side backward is then ``dQ = onehot^T @ DZ``, ``dw_x = E^T @ dQ`` and
     ``dE = dQ @ w_x^T`` with the pad row zeroed, all over ``vocab`` rows; the
-    recurrent loop is the same on both paths.
+    recurrent loop is the same for both inputs.
     """
-    if x.data.ndim != 3:
-        raise ShapeError(f"lstm: expected [batch, len, dim], got {x.shape}")
-    batch, steps, dim = x.shape
+    folded = isinstance(x, Lookup)
+    if folded:
+        table, ids, pad_id = x
+        shape = ids.shape + table.shape[1:]
+    else:
+        shape = x.shape
+    if len(shape) != 3:
+        raise ShapeError(f"lstm: expected [batch, len, dim], got {shape}")
+    batch, steps, dim = shape
     if steps < 1:
         raise ShapeError("lstm: needs at least one time step")
     hidden = w_h.shape[0]
@@ -488,9 +477,7 @@ def lstm(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor) -> Tensor:
             f"lstm: weight shapes {w_x.shape}, {w_h.shape}, {b.shape} do not "
             f"match input dim {dim} and hidden {hidden}"
         )
-    dtype = np.result_type(x.data, w_x.data, w_h.data, b.data)
-    if x.source is not None:
-        table, ids, pad_id = x.source
+    if folded:
         inputs = (table, w_x, w_h, b)
         step_ids = ids.T  # [steps, batch], as z_in is laid out
         z_in = (table.data @ w_x.data)[step_ids]
@@ -498,6 +485,7 @@ def lstm(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor) -> Tensor:
         inputs = (x, w_x, w_h, b)
         xs = np.ascontiguousarray(x.data.transpose(1, 0, 2)).reshape(steps * batch, dim)
         z_in = (xs @ w_x.data).reshape(steps, batch, 4 * hidden)
+    dtype = np.result_type(*(t.data for t in inputs))
     track = _recording(inputs)
     # without a tape one slot is overwritten every step; with one, slot t
     # holds step t and the states carry the zero initial state in slot 0
@@ -562,7 +550,7 @@ def lstm(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor) -> Tensor:
         dwh = hs[:-1].reshape(steps * batch, hidden).T @ dz_flat if w_h.requires_grad else None
         db = dz_flat.sum(axis=0) if b.requires_grad else None
         dx = dwx = None
-        if x.source is None:
+        if not folded:
             dwx = xs.T @ dz_flat if w_x.requires_grad else None
             if x.requires_grad:
                 dx = np.ascontiguousarray(

@@ -15,14 +15,13 @@ The table ``_KINDS`` is the one place that defines a layer kind: its
 hyperparameter check, output shape, arrays and forward op. ``LayerSpec``,
 ``output_shapes``, ``parameter_table`` and ``forward`` only look kinds up there.
 
-The embedding is folded into the first linear map of the layer after it:
-``ad.embedding``'s output remembers its table and ids, and ``ad.conv1d_valid``
-(cnn, cnn_lstm) and ``ad.lstm`` (lstm) given such an input gather rows of a
+The embedding layer gathers nothing: ``ad.embedding`` hands an ``ad.Lookup``
+of its table and ids to the next layer. ``ad.conv1d_valid`` (cnn, cnn_lstm)
+and ``ad.lstm`` (lstm) fold it into their first linear map, gathering rows of a
 ``[vocab, out]`` product of the table and their weights, and differentiate the
-table directly. The input alone decides this, so ``_KINDS`` needs no rule for
-it; cnn_lstm's lstm reads maxpool output and takes the general path, and dnn's
-flatten has nothing to fold. Parameters, their names and the checkpoint layout
-are the same on both paths.
+table directly; dnn's flatten, an ``ad.reshape``, is the one place that gathers
+the table's rows. cnn_lstm's lstm reads maxpool output, a tensor. The input
+alone decides this, so ``_KINDS`` needs no rule for it.
 
 Weight init is uniform Glorot; the recurrent forget-gate bias starts at 1,
 the embedding pad row starts (and stays) at zero. ``parameter_table`` lists
@@ -223,7 +222,7 @@ _KINDS: dict[str, _Kind] = {
     "dropout": _Kind(valid=lambda layer: 0.0 <= layer.rate < 1.0, apply=_dropout_apply),
     "flatten": _Kind(
         out=lambda layer, shape: (math.prod(shape),),
-        apply=lambda layer, h, get, run: ad.reshape(h, (h.shape[0], -1)),
+        apply=lambda layer, h, get, run: ad.reshape(h, (len(run.ids), -1)),
     ),
     "relu": _Kind(apply=lambda layer, h, get, run: ad.relu(h)),
 }

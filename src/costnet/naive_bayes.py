@@ -82,14 +82,6 @@ def _log_scores(model: NaiveBayesModel, doc: Mapping[str, int]) -> np.ndarray:
     return scores
 
 
-def nb_predict(model: NaiveBayesModel, doc: Mapping[str, int]) -> tuple[int, float]:
-    """Most probable class and its posterior; ties break to class 0."""
-    scores = _log_scores(model, doc)
-    cls = 0 if scores[0] >= scores[1] else 1
-    lse = np.logaddexp(scores[0], scores[1])
-    return cls, float(np.exp(scores[cls] - lse))
-
-
 def nb_positive_probability(model: NaiveBayesModel, doc: Mapping[str, int]) -> float:
     """Posterior of the positive (malicious/spam) class."""
     scores = _log_scores(model, doc)

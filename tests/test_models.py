@@ -1,11 +1,13 @@
+import ast
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from costnet import autodiff as ad
 from costnet import models
-from costnet.errors import ConfigError, EncodingError
+from costnet.errors import ConfigError, DataError, EncodingError
 from costnet.loss import compute_class_weights, weighted_bce
 from costnet.text import PAD_ID, encode_batch, fit_vocab
 
@@ -161,6 +163,17 @@ class TestForward:
         np.testing.assert_array_equal(g[PAD_ID], 0.0)
         assert np.abs(g[2:]).sum() > 0
 
+    @pytest.mark.parametrize("mode", ["infer", "train"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("preset", models.PRESETS)
+    def test_non_finite_embedding_table_rejected(self, preset, value, mode):
+        spec, params = models.build_model(preset, 20, 12, seed=0, dims=TINY)
+        ids = random_ids(np.random.default_rng(2), 4, 12, 20)
+        # a row the batch reads, in place, as a diverged optimizer step would
+        params.tensors["00.embedding.table"].data[ids[0, 0], 0] = value
+        with pytest.raises(DataError):
+            models.forward(spec, params, ids, mode=mode, rng=np.random.default_rng(0))
+
     def test_forward_on_real_encoded_text(self):
         vocab = fit_vocab(["abc.com", "xyz.net"])
         spec, params = models.build_model("lstm", vocab.size, 10, seed=0, dims=TINY)
@@ -177,6 +190,25 @@ PRESET_OP_CALLS = {
     "lstm": {"embedding": 1, "lstm": 1, "matmul": 1},
     "cnn_lstm": {"embedding": 1, "conv1d_valid": 1, "maxpool1d": 1, "lstm": 1, "matmul": 1},
 }
+
+
+def _perfbench_constant(module: str, name: str):
+    """The literal a perfbench module assigns to ``name``, read without importing it."""
+    path = Path(__file__).parents[1] / "perfbench" / f"{module}.py"
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == name for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"perfbench/{module}.py assigns no {name}")
+
+
+def test_op_tables_agree_with_perfbench():
+    # perfbench times exactly these ops per preset; a preset that stops
+    # calling one leaves a layer untimed there
+    assert _perfbench_constant("tracing", "AD_OPS") == TRACED_OPS
+    preset_ops = _perfbench_constant("workloads", "PRESET_OPS")
+    assert set(preset_ops) == set(PRESET_OP_CALLS) == set(models.PRESETS)
+    for preset, calls in PRESET_OP_CALLS.items():
+        assert set(preset_ops[preset]) == {op for op, n in calls.items() if n > 0}
 
 
 def _counting(calls, op, fn):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from costnet.errors import ConfigError, DataError
-from costnet.naive_bayes import nb_positive_probability, nb_predict, nb_train
+from costnet.naive_bayes import nb_positive_probability, nb_train
 from costnet.text import ngram_counts
 
 
@@ -70,37 +70,32 @@ class TestTrain:
 class TestPredict:
     def test_empty_doc_falls_back_to_prior(self):
         model = nb_train([{"a": 1}, {"a": 1}, {"b": 1}], [0, 0, 1])
-        cls, post = nb_predict(model, {})
-        assert cls == 0
-        assert post == pytest.approx(2 / 3)
+        assert nb_positive_probability(model, {}) == pytest.approx(1 / 3)
 
     def test_two_doc_posterior(self):
         model = nb_train([{"a": 1}, {"b": 1}], [0, 1], alpha=1.0)
-        cls, post = nb_predict(model, {"a": 1})
-        assert cls == 0
-        assert post == pytest.approx(2 / 3, rel=1e-12)
+        assert nb_positive_probability(model, {"a": 1}) == pytest.approx(1 / 3, rel=1e-12)
 
-    def test_tie_breaks_to_class_zero(self):
+    def test_tied_scores_give_one_half(self):
         model = nb_train([{"a": 1}, {"a": 1}], [0, 1])
-        cls, post = nb_predict(model, {"a": 3})
-        assert cls == 0 and post == pytest.approx(0.5)
+        assert nb_positive_probability(model, {"a": 3}) == pytest.approx(0.5)
 
     def test_unseen_tokens_ignored(self):
         model = nb_train([{"a": 1}, {"b": 1}], [0, 1])
-        assert nb_predict(model, {"zz": 7}) == nb_predict(model, {})
+        assert nb_positive_probability(model, {"zz": 7}) == nb_positive_probability(model, {})
 
     def test_positive_probability_complements(self):
+        # P(b | 1) = 3/4 and P(b | 0) = 1/4 at alpha 1, priors 1/2; a swaps them
         model = nb_train([{"a": 2}, {"b": 2}], [0, 1])
-        cls, post = nb_predict(model, {"b": 1})
-        assert cls == 1
-        assert nb_positive_probability(model, {"b": 1}) == pytest.approx(post)
+        assert nb_positive_probability(model, {"b": 1}) == pytest.approx(3 / 4)
+        assert nb_positive_probability(model, {"a": 1}) == pytest.approx(1 / 4)
 
     def test_no_underflow_for_huge_documents(self):
         model = nb_train([{"a": 1, "b": 1}, {"b": 3}], [0, 1])
         doc = {"a": 600_000, "b": 400_000}
-        scores_fine = nb_predict(model, doc)
-        assert math.isfinite(scores_fine[1])
-        assert 0.0 <= scores_fine[1] <= 1.0
+        p = nb_positive_probability(model, doc)
+        assert math.isfinite(p)
+        assert 0.0 <= p <= 1.0
 
     def test_posterior_invariant_under_corpus_duplication(self):
         # duplication scales counts and totals together; the smoothing mass
@@ -143,9 +138,9 @@ class TestBruteForceEquivalence:
             labels[0] = 1 - labels[0]
         model = nb_train(docs, labels, alpha=alpha)
         expected = brute_force_posterior(docs, labels, alpha, query)
-        assert nb_positive_probability(model, query) == pytest.approx(expected[1], abs=1e-12)
-        cls, post = nb_predict(model, query)
-        assert post == pytest.approx(expected[cls], abs=1e-12)
+        p = nb_positive_probability(model, query)
+        assert p == pytest.approx(expected[1], abs=1e-12)
+        assert 1 - p == pytest.approx(expected[0], abs=1e-12)
 
 
 class TestQualitativeImbalanceBehavior:

@@ -509,15 +509,15 @@ _TRAIN_CNN = """
 import sys
 from costnet import autodiff as ad, trainer
 from costnet.data import GeneratorConfig, gen_synthetic
-folded, calls = ad._conv1d_folded, []
-ad._conv1d_folded = lambda *args: calls.append(1) or folded(*args)
+conv, lookups = ad.conv1d_valid, []
+ad.conv1d_valid = lambda x, *args: lookups.append(isinstance(x, ad.Lookup)) or conv(x, *args)
 ds = gen_synthetic(GeneratorConfig("dga", 64, 64, seed=3, split="train"))
 cfg = trainer.TrainConfig(
     learning_rate=0.01, epochs=2, batch_size=64, seed=0, gamma=1.0,
     preset="cnn", max_len=40,
 )
 ckpt, _ = trainer.train(ds, cfg)
-assert calls, "the cnn did not train through the folded conv"
+assert lookups and all(lookups), "the cnn's conv did not read an embedding lookup"
 trainer.save(ckpt, sys.argv[1])
 """
 
@@ -530,15 +530,15 @@ _TRAIN_CNN_LSTM = """
 import sys
 from costnet import autodiff as ad, trainer
 from costnet.data import GeneratorConfig, gen_synthetic
-lstm, sources = ad.lstm, []
-ad.lstm = lambda x, *args: sources.append(x.source) or lstm(x, *args)
+lstm, lookups = ad.lstm, []
+ad.lstm = lambda x, *args: lookups.append(isinstance(x, ad.Lookup)) or lstm(x, *args)
 ds = gen_synthetic(GeneratorConfig("dga", 64, 64, seed=3, split="train"))
 cfg = trainer.TrainConfig(
     learning_rate=0.01, epochs=2, batch_size=64, seed=0, gamma=1.0,
     preset="cnn_lstm", max_len=40,
 )
 ckpt, _ = trainer.train(ds, cfg)
-assert sources and all(s is None for s in sources), "cnn_lstm's lstm took the folded path"
+assert lookups and not any(lookups), "cnn_lstm's lstm read an embedding lookup"
 trainer.save(ckpt, sys.argv[1])
 """
 

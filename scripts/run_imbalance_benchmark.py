@@ -14,27 +14,28 @@ from costnet.models import PRESETS
 
 
 def main() -> int:
+    defaults = BenchmarkSettings()
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--preset", choices=PRESETS, default="cnn")
-    parser.add_argument("--epochs", type=int, default=10)
-    parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2, 3, 4])
-    parser.add_argument("--legit", type=int, default=10_000)
-    parser.add_argument("--malicious", type=int, default=500)
-    parser.add_argument("--test-per-class", type=int, default=1_000)
-    parser.add_argument("--lr", type=float, default=None, help="override the tuned default")
+    parser.add_argument("--preset", choices=PRESETS, default=defaults.preset)
+    parser.add_argument("--epochs", type=int, default=defaults.epochs)
+    parser.add_argument("--seeds", type=int, nargs="+", default=list(defaults.seeds))
+    parser.add_argument("--legit", type=int, default=defaults.n_legit_train)
+    parser.add_argument("--malicious", type=int, default=defaults.n_malicious_train)
+    parser.add_argument("--test-per-class", type=int, default=defaults.n_test_per_class)
+    parser.add_argument("--lr", type=float, default=defaults.learning_rate)
     args = parser.parse_args()
 
-    kwargs = dict(
-        preset=args.preset,
-        epochs=args.epochs,
-        seeds=tuple(args.seeds),
-        n_legit_train=args.legit,
-        n_malicious_train=args.malicious,
-        n_test_per_class=args.test_per_class,
+    summary = run_benchmark(
+        BenchmarkSettings(
+            preset=args.preset,
+            epochs=args.epochs,
+            seeds=tuple(args.seeds),
+            n_legit_train=args.legit,
+            n_malicious_train=args.malicious,
+            n_test_per_class=args.test_per_class,
+            learning_rate=args.lr,
+        )
     )
-    if args.lr is not None:
-        kwargs["learning_rate"] = args.lr
-    summary = run_benchmark(BenchmarkSettings(**kwargs))
     for run in summary["runs"]:
         print(
             f"seed {run['seed']}: recall gamma=0 {run['recall_gamma0']:.1f}  "

@@ -9,14 +9,14 @@ import argparse
 import json
 import sys
 
-from costnet.data import GeneratorConfig, gen_synthetic
+from costnet.data import USE_CASES, GeneratorConfig, gen_synthetic
 from costnet.models import PRESETS
 from costnet.trainer import TrainConfig, evaluate, train, train_naive_bayes
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--use-case", choices=("dga", "email", "url"), default="dga")
+    parser.add_argument("--use-case", choices=USE_CASES, default="dga")
     parser.add_argument("--preset", choices=PRESETS, default="cnn")
     parser.add_argument("--legit", type=int, default=4000)
     parser.add_argument("--malicious", type=int, default=400)

@@ -29,6 +29,12 @@ import numpy as np
 from .errors import ConfigError, ContractError, DataError, ShapeError
 
 DEFAULT_DTYPE = np.float32
+# batchnorm's running statistics keep this share of their value each train step
+_BN_MOMENTUM = 0.9
+# added to batchnorm's variance before the square root
+_BN_EPS = 1e-5
+# central-difference half-width of grad_check
+_FD_STEP = 1e-5
 
 
 class Tensor:
@@ -252,8 +258,7 @@ def reshape(x: Tensor | Lookup, shape: tuple[int, ...]) -> Tensor:
     """``x`` in a new shape; given a ``Lookup``, its gathered rows in that shape.
 
     The gather's gradient scatters back with accumulation over repeated ids;
-    the pad row (if given) is kept frozen by skipping its positions in the
-    scatter.
+    the pad row is kept frozen by skipping its positions in the scatter.
     """
     if not isinstance(x, Lookup):
         out = x.data.reshape(shape)
@@ -268,11 +273,9 @@ def reshape(x: Tensor | Lookup, shape: tuple[int, ...]) -> Tensor:
     def gather_back(g):
         dt = np.zeros_like(table.data)
         flat_ids, g_rows = ids.reshape(-1), g.reshape(-1, table.shape[1])
-        if pad_id is not None:
-            # the remaining rows keep their order, so each sum is unchanged
-            keep = flat_ids != pad_id
-            flat_ids, g_rows = flat_ids[keep], g_rows[keep]
-        np.add.at(dt, flat_ids, g_rows)
+        # the remaining rows keep their order, so each sum is unchanged
+        keep = flat_ids != pad_id
+        np.add.at(dt, flat_ids[keep], g_rows[keep])
         return (dt,)
 
     return _emit(rows, (table,), gather_back)
@@ -298,15 +301,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 class Lookup(NamedTuple):
     """Rows ``ids`` of a ``[vocab, dim]`` table, not yet gathered.
 
-    ``pad_id`` names the row the lookup keeps frozen, or is ``None``.
+    ``pad_id`` names the row the lookup keeps frozen: it gets no gradient.
     """
 
     table: Tensor
     ids: np.ndarray
-    pad_id: int | None
+    pad_id: int
 
 
-def embedding(table: Tensor, ids: np.ndarray, pad_id: int | None = 0) -> Lookup:
+def embedding(table: Tensor, ids: np.ndarray, pad_id: int = 0) -> Lookup:
     """Look rows of ``table`` up by integer id, leaving the gather to the reader.
 
     Checks the ids against the table and the table for NaN or Inf, and
@@ -388,8 +391,7 @@ def conv1d_valid(x: Lookup, kernels: Tensor, bias: Tensor) -> Tensor:
             de = dp.transpose(1, 0, 2).reshape(vocab, k * out_ch) @ (
                 kernels.data.transpose(0, 2, 1).reshape(k * out_ch, in_ch)
             )
-            if pad_id is not None:
-                de[pad_id] = 0
+            de[pad_id] = 0
         return de, dk, db
 
     return _emit(out, (table, kernels, bias), back)
@@ -561,8 +563,7 @@ def lstm(x: Tensor | Lookup, w_x: Tensor, w_h: Tensor, b: Tensor) -> Tensor:
             dwx = table.data.T @ dq if w_x.requires_grad else None
             if table.requires_grad:
                 dx = dq @ w_x.data.T  # the table's gradient
-                if pad_id is not None:
-                    dx[pad_id] = 0
+                dx[pad_id] = 0
         return dx, dwx, dwh, db
 
     return _emit(hs[-1], inputs, back)
@@ -575,14 +576,12 @@ def batchnorm(
     running_mean: np.ndarray,
     running_var: np.ndarray,
     training: bool,
-    momentum: float = 0.9,
-    eps: float = 1e-5,
 ) -> Tensor:
     """Per-feature normalization on [batch, features].
 
     Train mode uses batch statistics (biased variance) and folds them into
-    the running buffers in place; infer mode reads the buffers. Scale and
-    shift are learnable.
+    the running buffers in place at ``_BN_MOMENTUM``; infer mode reads the
+    buffers. Scale and shift are learnable.
     """
     if x.data.ndim != 2:
         raise ShapeError(f"batchnorm: expected [batch, features], got {x.shape}")
@@ -594,14 +593,14 @@ def batchnorm(
             raise ShapeError(f"batchnorm: train mode needs batch >= 2, got {batch}")
         mean = x.data.mean(axis=0)
         var = x.data.var(axis=0)
-        running_mean *= momentum
-        running_mean += (1 - momentum) * mean
-        running_var *= momentum
-        running_var += (1 - momentum) * var
+        running_mean *= _BN_MOMENTUM
+        running_mean += (1 - _BN_MOMENTUM) * mean
+        running_var *= _BN_MOMENTUM
+        running_var += (1 - _BN_MOMENTUM) * var
     else:
         mean = running_mean
         var = running_var
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + _BN_EPS)
     xhat = (x.data - mean) * inv
     out = scale.data * xhat + shift.data
 
@@ -631,16 +630,14 @@ def batchnorm(
 def dropout_mask(
     shape: tuple[int, ...],
     rate: float,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator | None,
     dtype=DEFAULT_DTYPE,
 ) -> Tensor:
     """Inverted-dropout mask: 0 with probability rate, else 1/(1-rate)."""
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
-    if rate == 0.0:
-        return Tensor(np.ones(shape, dtype=dtype))
     if rng is None:
-        raise ConfigError("dropout with rate > 0 needs a random generator")
+        raise ConfigError("dropout needs a random generator")
     keep = rng.random(shape) >= rate
     mask = keep.astype(dtype) / np.asarray(1.0 - rate, dtype=dtype)
     return Tensor(mask)
@@ -650,11 +647,7 @@ def dropout_mask(
 # finite-difference verification
 
 
-def grad_check(
-    f: Callable[..., Tensor],
-    point: Tensor | Iterable[Tensor],
-    step: float = 1e-5,
-) -> float:
+def grad_check(f: Callable[..., Tensor], point: Tensor | Iterable[Tensor]) -> float:
     """Worst relative disagreement between tape gradients and central differences.
 
     ``f`` must be scalar-valued; ``point`` is evaluated at float64 regardless
@@ -679,12 +672,12 @@ def grad_check(
         flat = p.data.reshape(-1)
         for idx in range(flat.size):
             orig = flat[idx]
-            flat[idx] = orig + step
+            flat[idx] = orig + _FD_STEP
             hi = f(*pts).item()
-            flat[idx] = orig - step
+            flat[idx] = orig - _FD_STEP
             lo = f(*pts).item()
             flat[idx] = orig
-            fd = (hi - lo) / (2 * step)
+            fd = (hi - lo) / (2 * _FD_STEP)
             a = ad.reshape(-1)[idx]
             err = abs(a - fd) / max(1.0, abs(a), abs(fd))
             if err > worst:

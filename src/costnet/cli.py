@@ -26,6 +26,7 @@ from .data import (
 )
 from .errors import ConfigError, CostnetError
 from .loss import compute_class_weights
+from .metrics import THRESHOLD
 from .models import PRESETS
 
 TRAIN_DEFAULTS = {
@@ -103,7 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--manifest", metavar="USE_CASE:SPLIT",
                      help="published corpus counts, e.g. dga:train")
     p.add_argument("--gamma", required=True, type=float)
-    p.add_argument("--raw", action="store_true", help="report raw weights as primary")
 
     p = sub.add_parser("train", help="fit a model and write a checkpoint")
     p.add_argument("--train", required=True, dest="train_path", help="training CSV")
@@ -173,7 +173,7 @@ def _cmd_weights(args) -> int:
                 f"--manifest must be USE_CASE:SPLIT from the published corpora, "
                 f"got {args.manifest!r}"
             )
-    w = compute_class_weights(counts, args.gamma, normalize=not args.raw)
+    w = compute_class_weights(counts, args.gamma)
     _emit(
         {
             "counts": list(w.counts),
@@ -251,7 +251,7 @@ def _cmd_evaluate(args) -> int:
 def _cmd_predict(args) -> int:
     ckpt = tr.load(args.model)
     prob = tr.predict_probability(ckpt, args.text)
-    _emit({"probability": prob, "label": int(prob >= 0.5)})
+    _emit({"probability": prob, "label": int(prob >= THRESHOLD)})
     return 0
 
 

@@ -1,6 +1,7 @@
 """Confusion-matrix accounting and the four reported statistics.
 
-Positive class is malicious/spam (label 1). Scores are percentages.
+Positive class is malicious/spam (label 1), predicted when its probability
+is at least ``THRESHOLD``. Scores are percentages.
 Zero-denominator cases return 0 so degenerate classifiers still score.
 """
 
@@ -11,6 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError
+
+THRESHOLD = 0.5
 
 
 @dataclass(frozen=True)
@@ -25,15 +28,15 @@ class ConfusionMatrix:
         return self.tn + self.fp + self.fn + self.tp
 
 
-def confusion(probs, labels, threshold: float = 0.5) -> ConfusionMatrix:
-    """Threshold probabilities (predict positive iff prob >= threshold)."""
+def confusion(probs, labels) -> ConfusionMatrix:
+    """Threshold probabilities (predict positive iff prob >= ``THRESHOLD``)."""
     p = np.asarray(probs, dtype=np.float64)
     y = np.asarray(labels)
     if p.shape != y.shape:
         raise ContractError(f"length mismatch: {p.shape} probs vs {y.shape} labels")
     if not np.isin(y, (0, 1)).all():
         raise ContractError("labels must be 0 or 1")
-    pred = p >= threshold
+    pred = p >= THRESHOLD
     pos = y == 1
     return ConfusionMatrix(
         tn=int(np.count_nonzero(~pred & ~pos)),

@@ -383,15 +383,14 @@ def forward(
     return logit if run.training else ad.sigmoid(logit)
 
 
-def scaled_dims(factor: int = 16) -> PresetDims:
+def scaled_dims() -> PresetDims:
     """Small copies of the preset topology for fast gradient verification."""
-    base = PresetDims()
     return replace(
-        base,
+        PresetDims(),
         embed_dim=8,
         conv_filters=4,
         lstm_units=6,
         cnn_lstm_units=6,
-        dnn_widths=tuple(max(2, w // factor) for w in base.dnn_widths),
+        dnn_widths=(32, 24, 16, 8),
         cnn_dense=8,
     )

@@ -21,8 +21,6 @@ class NaiveBayesModel:
     class_log_prior: np.ndarray  # [2], exp sums to 1
     token_log_prob: np.ndarray  # [2, vocab], per class exp sums to 1
     tokens: tuple[str, ...]  # column order
-    alpha: float
-    n_range: tuple[int, int]
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -30,10 +28,7 @@ class NaiveBayesModel:
 
 
 def nb_train(
-    documents: Sequence[Mapping[str, int]],
-    labels,
-    alpha: float = 1.0,
-    n_range: tuple[int, int] = (1, 2),
+    documents: Sequence[Mapping[str, int]], labels, alpha: float = 1.0
 ) -> NaiveBayesModel:
     """Fit priors and smoothed token likelihoods from per-document counts."""
     if alpha <= 0:
@@ -64,13 +59,7 @@ def nb_train(
     prior = np.log(
         np.array([np.count_nonzero(y == 0), np.count_nonzero(y == 1)], dtype=np.float64) / n
     )
-    return NaiveBayesModel(
-        class_log_prior=prior,
-        token_log_prob=log_prob,
-        tokens=tokens,
-        alpha=float(alpha),
-        n_range=tuple(n_range),
-    )
+    return NaiveBayesModel(class_log_prior=prior, token_log_prob=log_prob, tokens=tokens)
 
 
 def _log_scores(model: NaiveBayesModel, doc: Mapping[str, int]) -> np.ndarray:

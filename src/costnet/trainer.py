@@ -35,7 +35,7 @@ from .errors import (
     ContractError,
     DataError,
 )
-from .loss import ClassWeights, compute_class_weights, weighted_bce
+from .loss import compute_class_weights, weighted_bce
 from .metrics import confusion, metrics_report
 from .naive_bayes import NaiveBayesModel, nb_positive_probability, nb_train
 from .text import (
@@ -76,8 +76,16 @@ class TrainConfig:
             raise ConfigError(f"batch size must be >= 2, got {self.batch_size}")
         if not 0.0 <= self.gamma <= 1.0:
             raise ConfigError(f"gamma must be in [0, 1], got {self.gamma}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.eval_every < 0:
+            raise ConfigError(f"eval_every must be >= 0, got {self.eval_every}")
 
 
+# Adam's moment decay rates and the epsilon added to the second-moment root
+_ADAM_BETA1 = 0.9
+_ADAM_BETA2 = 0.999
+_ADAM_EPS = 1e-8
 # Elements per block of the Adam update: four float32 blocks (p, g, m, v) plus
 # the two scratch blocks stay in L2. 16 K to 128 K elements time within 10 %.
 _ADAM_BLOCK = 1 << 15
@@ -86,10 +94,7 @@ _ADAM_BLOCK = 1 << 15
 class AdamState:
     """First/second moment accumulators plus the shared step counter."""
 
-    def __init__(self, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+    def __init__(self):
         self.t = 0
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
@@ -122,7 +127,7 @@ def adam_step(
     A missing gradient counts as zeros.
     """
     state.t += 1
-    b1, b2, eps = state.beta1, state.beta2, state.eps
+    b1, b2, eps = _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS
     bias1 = 1.0 - b1**state.t
     bias2 = 1.0 - b2**state.t
     for name, p in params.items():
@@ -187,15 +192,12 @@ class Checkpoint:
 
 
 def train(
-    dataset: LabeledDataset,
-    config: TrainConfig,
-    on_epoch=None,
-    weights_override: ClassWeights | None = None,
+    dataset: LabeledDataset, config: TrainConfig, on_epoch=None
 ) -> tuple[Checkpoint, list[dict]]:
     """Fit a preset on a labeled train split.
 
     Builds the vocabulary from the training texts only, derives the class
-    costs from the split's class counts (unless overridden), and runs
+    costs from the split's class counts, and runs
     minibatch Adam on the weighted cross-entropy. ``on_epoch(epoch, loss)``
     is called after every epoch for progress streaming.
     """
@@ -203,11 +205,9 @@ def train(
     if min(counts) < 1:
         raise DataError("training data must contain both classes")
     use_case = dataset.use_case or "dga"
-    max_len = config.max_len or DEFAULT_MAX_LEN[use_case]
+    max_len = DEFAULT_MAX_LEN[use_case] if config.max_len is None else config.max_len
     vocab = fit_vocab(dataset.texts)
-    weights = weights_override or compute_class_weights(
-        counts, config.gamma, normalize=config.normalize_weights
-    )
+    weights = compute_class_weights(counts, config.gamma, normalize=config.normalize_weights)
 
     spec, params = models.build_model(
         config.preset, vocab.size, max_len, config.seed, dims=config.dims
@@ -268,7 +268,7 @@ def train_naive_bayes(
 ) -> Checkpoint:
     """Fit the n-gram Naive Bayes baseline into the same container format."""
     docs = [ngram_counts(t, *n_range) for t in dataset.texts]
-    model = nb_train(docs, dataset.labels, alpha=alpha, n_range=n_range)
+    model = nb_train(docs, dataset.labels, alpha=alpha)
     return Checkpoint(
         preset="naive_bayes",
         use_case=dataset.use_case,
@@ -318,8 +318,6 @@ def predict_probabilities(ckpt: Checkpoint, texts) -> np.ndarray:
             class_log_prior=np.asarray(ckpt.weights["class_log_prior"], dtype=np.float64),
             token_log_prob=np.asarray(ckpt.weights["token_log_prob"], dtype=np.float64),
             tokens=tuple(ckpt.vocab),
-            alpha=float(ckpt.hyperparameters["alpha"]),
-            n_range=(lo, hi),
         )
         return np.array([nb_positive_probability(model, ngram_counts(t, lo, hi)) for t in texts])
     spec = _checkpoint_spec(ckpt)

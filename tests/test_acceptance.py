@@ -81,9 +81,11 @@ def test_criterion_4_weight_equation_exactness():
         epochs=2, batch_size=16, seed=3, preset="cnn", max_len=24,
         dims=scaled_dims(), gamma=0.0,
     )
-    unit = ClassWeights((1, 1), 0.0, (1.0, 1.0), (1.0, 1.0), True)
     _, hist_gamma0 = trainer.train(ds, cfg)
-    _, hist_unit = trainer.train(ds, cfg, weights_override=unit)
+    unit = ClassWeights((1, 1), 0.0, (1.0, 1.0), (1.0, 1.0), True)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trainer, "compute_class_weights", lambda *args, **kwargs: unit)
+        _, hist_unit = trainer.train(ds, cfg)
     assert [h["loss"] for h in hist_gamma0] == [h["loss"] for h in hist_unit]
 
     # gamma=1 weight ratio is exactly the count ratio

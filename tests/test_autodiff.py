@@ -70,14 +70,13 @@ class TestConv1d:
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(3)
         table = t64(rng.standard_normal((6, 3)))
-        ids = rng.integers(0, 6, size=(2, 7))
+        ids = rng.integers(1, 6, size=(2, 7))  # keep the frozen pad row 0 unused
         k = t64(rng.standard_normal((3, 3, 4)))
         b = t64(rng.standard_normal(4))
         r = ad.Tensor(rng.standard_normal((2, 5, 4)))
 
         def f(t_, k_, b_):
-            # no pad id: every row of the table is a free coordinate
-            return ad.tsum(ad.mul(ad.conv1d_valid(ad.embedding(t_, ids, pad_id=None), k_, b_), r))
+            return ad.tsum(ad.mul(ad.conv1d_valid(ad.embedding(t_, ids, pad_id=0), k_, b_), r))
 
         assert ad.grad_check(f, [table, k, b]) < 1e-4
 
@@ -200,9 +199,10 @@ class TestBatchnorm:
         x = ad.Tensor(np.array([[-1.0], [1.0]]))
         out = ad.batchnorm(
             x, ad.Tensor([1.0]), ad.Tensor([0.0]),
-            np.zeros(1), np.ones(1), training=True, eps=1e-12,
+            np.zeros(1), np.ones(1), training=True,
         )
-        np.testing.assert_allclose(out.data.reshape(-1), [-1.0, 1.0], atol=1e-6)
+        want = np.array([-1.0, 1.0]) / np.sqrt(1.0 + ad._BN_EPS)
+        np.testing.assert_allclose(out.data.reshape(-1), want, atol=1e-6)
 
     def test_zero_scale_gives_shift(self):
         rng = np.random.default_rng(1)
@@ -223,7 +223,7 @@ class TestBatchnorm:
         x = ad.Tensor(np.array([[2.0, 4.0]]))
         out = ad.batchnorm(
             x, ad.Tensor(np.ones(2)), ad.Tensor(np.zeros(2)),
-            np.array([2.0, 4.0]), np.ones(2), training=False, eps=0.0,
+            np.array([2.0, 4.0]), np.ones(2), training=False,
         )
         np.testing.assert_allclose(out.data, 0.0, atol=1e-7)
 
@@ -231,9 +231,9 @@ class TestBatchnorm:
         x = ad.Tensor(np.array([[0.0], [2.0]]))
         rm, rv = np.zeros(1), np.ones(1)
         ad.batchnorm(x, ad.Tensor(np.ones(1)), ad.Tensor(np.zeros(1)),
-                     rm, rv, training=True, momentum=0.5)
-        assert rm[0] == pytest.approx(0.5)  # 0.5*0 + 0.5*1
-        assert rv[0] == pytest.approx(1.0)  # 0.5*1 + 0.5*1
+                     rm, rv, training=True)
+        assert rm[0] == pytest.approx(0.1)  # 0.9*0 + 0.1*1
+        assert rv[0] == pytest.approx(1.0)  # 0.9*1 + 0.1*1
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(9)
@@ -251,7 +251,7 @@ class TestBatchnorm:
 
 class TestDropout:
     def test_rate_zero_is_all_ones(self):
-        mask = ad.dropout_mask((5, 5), 0.0)
+        mask = ad.dropout_mask((5, 5), 0.0, np.random.default_rng(0))
         np.testing.assert_array_equal(mask.data, 1.0)
 
     def test_large_sample_mean_near_one(self):
@@ -585,13 +585,14 @@ class TestEmbeddingOp:
         assert ad.grad_check(f, table) < 1e-6
 
     def test_gradient_with_pad_ids_unfrozen(self):
+        # id 0 is an ordinary row when the lookup's pad row is another one
         rng = np.random.default_rng(32)
         table = t64(rng.standard_normal((4, 3)))
         ids = np.array([[0, 2, 0], [2, 0, 1]])
         r = ad.Tensor(rng.standard_normal((2, 3, 3)))
 
         def f(tb):
-            return ad.tsum(ad.mul(gathered(tb, ids, pad_id=None), r))
+            return ad.tsum(ad.mul(gathered(tb, ids, pad_id=3), r))
 
         assert ad.grad_check(f, table) < 1e-6
 
@@ -600,7 +601,7 @@ class TestEmbeddingOp:
         rng = np.random.default_rng(33)
         table = ad.Tensor(rng.standard_normal((6, 5)).astype(np.float32), requires_grad=True)
         ids = rng.integers(0, 3, size=(32, 40))  # few rows, many repeats, ~1/3 pad
-        pad_id = None if case == "no-pad-id" else 0
+        pad_id = 5 if case == "no-pad-id" else 0  # row 5: no id reads it
         if case == "all-pad":
             ids[:] = 0
         r = ad.Tensor(rng.standard_normal((32, 40, 5)).astype(np.float32))
@@ -610,8 +611,7 @@ class TestEmbeddingOp:
         # the scatter of every position into a dense table, pad row zeroed after
         want = np.zeros_like(table.data)
         np.add.at(want, ids.reshape(-1), r.data.reshape(-1, 5))
-        if pad_id is not None:
-            want[pad_id] = 0
+        want[pad_id] = 0
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
@@ -706,10 +706,11 @@ class TestEmbeddingFold:
         assert np.abs(d_table[1:]).max() > 0
 
     @pytest.mark.parametrize("op", FOLDED_OPS, ids=["conv1d", "lstm"])
-    def test_without_pad_id_row_0_trains(self, op):
+    def test_row_0_trains_when_another_row_is_pad(self, op):
         arrays, ids = fold_inputs(op, np.float64)
-        _, (d_table, *_), _ = fold_run(op, arrays, ids, pad_id=None)
-        _, (ref, *_), _ = fold_run(op, arrays, ids, pad_id=None, fold=False)
+        _, (d_table, *_), _ = fold_run(op, arrays, ids, pad_id=8)
+        _, (ref, *_), _ = fold_run(op, arrays, ids, pad_id=8, fold=False)
+        assert (ids == 8).any() and not d_table[8].any()
         assert np.abs(d_table[0]).max() > 0
         np.testing.assert_allclose(d_table, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
 

@@ -174,6 +174,18 @@ class TestTrainEvaluatePredict:
         )
         assert code == 2 and err.startswith("error:")
 
+    @pytest.mark.parametrize("flag,value", [("--seed", "-1"), ("--eval-every", "-1"),
+                                            ("--max-len", "0")])
+    def test_bad_train_value_is_usage_error(self, capsys, toy_corpus, tmp_path, flag, value):
+        _, train_csv, _, _ = toy_corpus
+        out_path = tmp_path / "x.ckpt"
+        code, _, err = run_cli(
+            capsys, "train", "--train", str(train_csv), "--epochs", "1", flag, value,
+            "--out", str(out_path),
+        )
+        assert code == 2 and err.startswith("error:") and len(err.splitlines()) == 1
+        assert "Traceback" not in err and not out_path.exists()
+
     def test_naive_bayes_preset(self, capsys, toy_corpus, tmp_path):
         _, train_csv, test_csv, _ = toy_corpus
         nb_path = tmp_path / "nb.ckpt"

@@ -161,7 +161,7 @@ class TestQualitativeImbalanceBehavior:
         )
         n_range = (1, 2)
         docs = [ngram_counts(t, *n_range) for t in train.texts]
-        model = nb_train(docs, train.labels, alpha=1.0, n_range=n_range)
+        model = nb_train(docs, train.labels, alpha=1.0)
         probs = [
             nb_positive_probability(model, ngram_counts(t, *n_range)) for t in test.texts
         ]

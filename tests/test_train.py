@@ -77,7 +77,7 @@ class TestAdam:
 def reference_adam_step(params, grads, state, lr):
     """Adam evaluated whole-array, one temporary per operation."""
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = train._ADAM_BETA1, train._ADAM_BETA2
     bias1 = 1.0 - b1**state.t
     bias2 = 1.0 - b2**state.t
     for name, p in params.items():
@@ -92,7 +92,7 @@ def reference_adam_step(params, grads, state, lr):
         v += (1 - b2) * (g * g)
         m_hat = m / bias1
         v_hat = v / bias2
-        p.data -= (lr * m_hat / (np.sqrt(v_hat) + state.eps)).astype(p.data.dtype)
+        p.data -= (lr * m_hat / (np.sqrt(v_hat) + train._ADAM_EPS)).astype(p.data.dtype)
 
 
 class TestBlockedAdam:
@@ -172,36 +172,25 @@ class TestTrainLoop:
         for name in a.weights:
             np.testing.assert_array_equal(a.weights[name], b.weights[name])
 
-    def test_gamma_zero_matches_hardcoded_unit_weights(self):
+    def test_gamma_zero_matches_hardcoded_unit_weights(self, monkeypatch):
         ds = small_dga()
+        _, hist_a = train.train(ds, tiny_config(gamma=0.0))
         unit = ClassWeights((1, 1), 0.0, (1.0, 1.0), (1.0, 1.0), True)
-        a, hist_a = train.train(ds, tiny_config(gamma=0.0))
-        b, hist_b = train.train(ds, tiny_config(gamma=0.0), weights_override=unit)
+        monkeypatch.setattr(train, "compute_class_weights", lambda *args, **kwargs: unit)
+        _, hist_b = train.train(ds, tiny_config(gamma=0.0))
         assert [h["loss"] for h in hist_a] == [h["loss"] for h in hist_b]
 
-    def test_override_weights_are_the_ones_trained_and_recorded(self):
-        # the config asks for raw costs, the override carries normalized ones:
-        # the loss and the checkpoint both follow the override
+    def test_gamma_one_records_split_counts_and_weights(self):
         ds = gen_synthetic(GeneratorConfig("dga", 60, 10, seed=3, split="train"))
-        override = compute_class_weights([60, 10], 1.0, normalize=True)
-        ckpt, hist = train.train(
-            ds, tiny_config(gamma=1.0, normalize_weights=False), weights_override=override
-        )
-        _, hist_normalized = train.train(ds, tiny_config(gamma=1.0))
-        assert [h["loss"] for h in hist] == [h["loss"] for h in hist_normalized]
-        assert ckpt.hyperparameters["normalize_weights"] is True
-        assert ckpt.hyperparameters["class_weights"] == list(override.normalized)
-
-    def test_override_gamma_and_counts_are_recorded(self):
-        # the checkpoint records the weights that were trained, not the config
-        # and the split's counts that the override replaced
-        ds = gen_synthetic(GeneratorConfig("dga", 60, 10, seed=3, split="train"))
-        override = compute_class_weights([5, 5], 0.0)
-        ckpt, _ = train.train(ds, tiny_config(gamma=1.0), weights_override=override)
+        weights = compute_class_weights([60, 10], 1.0)
+        ckpt, _ = train.train(ds, tiny_config(gamma=1.0))
         hyper = ckpt.hyperparameters
-        assert hyper["gamma"] == 0.0
-        assert hyper["class_counts"] == [5, 5]
-        assert hyper["class_weights"] == [1.0, 1.0]
+        assert hyper["gamma"] == 1.0 and hyper["normalize_weights"] is True
+        assert hyper["class_counts"] == [60, 10]
+        assert hyper["class_weights"] == list(weights.normalized)
+        raw, _ = train.train(ds, tiny_config(gamma=1.0, normalize_weights=False))
+        assert raw.hyperparameters["normalize_weights"] is False
+        assert raw.hyperparameters["class_weights"] == list(weights.raw)
 
     def test_loss_decreases_on_separable_data(self):
         ds = small_dga(n=150)
@@ -232,6 +221,10 @@ class TestTrainLoop:
             tiny_config(batch_size=1)
         with pytest.raises(ConfigError):
             tiny_config(gamma=2.0)
+        with pytest.raises(ConfigError):
+            tiny_config(seed=-1)
+        with pytest.raises(ConfigError):
+            tiny_config(eval_every=-1)
 
 
 class TestEvaluatePredict:

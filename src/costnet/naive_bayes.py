@@ -3,11 +3,14 @@
 Laplace-style additive smoothing with parameter alpha. Tokens unseen at
 training time are dropped at prediction time (standard multinomial NB).
 All probabilities live in log space as float64 so documents with millions of
-tokens never underflow.
+tokens never underflow. Fitting and scoring take a whole batch of documents
+as flat token arrays: one ``np.bincount`` builds the count table, and one per
+class sums every document's log score.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -27,12 +30,20 @@ class NaiveBayesModel:
         self._index = {t: i for i, t in enumerate(self.tokens)}
 
 
+def _flatten(docs: Sequence[Mapping[str, int]]) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Every document's tokens in order, as one list, with their counts and document rows."""
+    grams = [tok for doc in docs for tok in doc]
+    counts = np.fromiter((c for doc in docs for c in doc.values()), np.float64, len(grams))
+    rows = np.repeat(np.arange(len(docs)), [len(doc) for doc in docs])
+    return grams, counts, rows
+
+
 def nb_train(
     documents: Sequence[Mapping[str, int]], labels, alpha: float = 1.0
 ) -> NaiveBayesModel:
     """Fit priors and smoothed token likelihoods from per-document counts."""
-    if alpha <= 0:
-        raise ConfigError(f"smoothing alpha must be > 0, got {alpha}")
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ConfigError(f"smoothing alpha must be finite and > 0, got {alpha}")
     y = np.asarray(labels)
     if len(documents) != y.shape[0]:
         raise DataError("documents and labels must align")
@@ -41,20 +52,17 @@ def nb_train(
     if len(np.unique(y)) < 2:
         raise DataError("training data must contain both classes")
 
-    vocab: set[str] = set()
-    for doc in documents:
-        vocab.update(doc.keys())
-    tokens = tuple(sorted(vocab))
+    grams, counts, rows = _flatten(documents)
+    tokens = tuple(sorted(set(grams)))
     index = {t: i for i, t in enumerate(tokens)}
+    v = len(tokens)
+    cols = np.fromiter(map(index.__getitem__, grams), np.int64, len(grams))
+    # whole-number counts sum exactly in float64, so the order of the sum is free
+    cells = y.astype(np.int64)[rows] * v + cols
+    table = np.bincount(cells, weights=counts, minlength=2 * v).reshape(2, v)
 
-    counts = np.zeros((2, len(tokens)), dtype=np.float64)
-    for doc, label in zip(documents, y):
-        row = counts[int(label)]
-        for tok, c in doc.items():
-            row[index[tok]] += c
-
-    totals = counts.sum(axis=1, keepdims=True)
-    log_prob = np.log(counts + alpha) - np.log(totals + alpha * len(tokens))
+    totals = table.sum(axis=1, keepdims=True)
+    log_prob = np.log(table + alpha) - np.log(totals + alpha * v)
     n = y.shape[0]
     prior = np.log(
         np.array([np.count_nonzero(y == 0), np.count_nonzero(y == 1)], dtype=np.float64) / n
@@ -62,16 +70,24 @@ def nb_train(
     return NaiveBayesModel(class_log_prior=prior, token_log_prob=log_prob, tokens=tokens)
 
 
-def _log_scores(model: NaiveBayesModel, doc: Mapping[str, int]) -> np.ndarray:
-    scores = model.class_log_prior.copy()
-    for tok, c in doc.items():
-        col = model._index.get(tok)
-        if col is not None:
-            scores += c * model.token_log_prob[:, col]
-    return scores
+def nb_positive_probability(
+    model: NaiveBayesModel, docs: Sequence[Mapping[str, int]]
+) -> np.ndarray:
+    """Posterior of the positive (malicious/spam) class for each document.
 
-
-def nb_positive_probability(model: NaiveBayesModel, doc: Mapping[str, int]) -> float:
-    """Posterior of the positive (malicious/spam) class."""
-    scores = _log_scores(model, doc)
-    return float(np.exp(scores[1] - np.logaddexp(scores[0], scores[1])))
+    A class score is ``class_log_prior[k]`` plus ``count * token_log_prob[k,
+    col]`` for each seen token, added in the document's token order. One
+    ``np.bincount`` per class sums the whole batch; it adds in input order, so
+    listing every prior before every token term keeps that order bit for bit.
+    """
+    grams, counts, rows = _flatten(docs)
+    cols = np.array([model._index.get(tok, -1) for tok in grams], dtype=np.int64)
+    seen = cols >= 0
+    n = len(docs)
+    bins = np.concatenate([np.arange(n), rows[seen]])
+    counts, cols = counts[seen], cols[seen]
+    s0, s1 = (
+        np.bincount(bins, np.concatenate([np.full(n, prior), counts * log_prob[cols]]), n)
+        for prior, log_prob in zip(model.class_log_prior, model.token_log_prob)
+    )
+    return np.exp(s1 - np.logaddexp(s0, s1))

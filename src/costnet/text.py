@@ -82,8 +82,6 @@ def ngram_counts(text: str, n_lo: int, n_hi: int) -> NgramCounts:
     if not 1 <= n_lo <= n_hi:
         raise ConfigError(f"bad n-gram range [{n_lo}, {n_hi}]")
     text = text.lower()
-    counts: Counter = Counter()
-    for n in range(n_lo, n_hi + 1):
-        for i in range(len(text) - n + 1):
-            counts[text[i : i + n]] += 1
-    return counts
+    return Counter(
+        [text[i : i + n] for n in range(n_lo, n_hi + 1) for i in range(len(text) - n + 1)]
+    )

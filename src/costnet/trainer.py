@@ -68,8 +68,8 @@ class TrainConfig:
     dims: models.PresetDims = field(default_factory=models.PresetDims)
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning rate must be > 0, got {self.learning_rate}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError(f"learning rate must be finite and > 0, got {self.learning_rate}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 2:
@@ -319,7 +319,7 @@ def predict_probabilities(ckpt: Checkpoint, texts) -> np.ndarray:
             token_log_prob=np.asarray(ckpt.weights["token_log_prob"], dtype=np.float64),
             tokens=tuple(ckpt.vocab),
         )
-        return np.array([nb_positive_probability(model, ngram_counts(t, lo, hi)) for t in texts])
+        return nb_positive_probability(model, [ngram_counts(t, lo, hi) for t in texts])
     spec = _checkpoint_spec(ckpt)
     arrays = {
         name: np.ascontiguousarray(arr, dtype=ad.DEFAULT_DTYPE)
@@ -456,10 +456,14 @@ def _check_header(header, path) -> None:
             )
     hyper = header["hyperparameters"]
     if header["preset"] == "naive_bayes":
-        n_range = hyper.get("n_range")
-        if not (_has_type_of(hyper.get("alpha"), 1.0) and _has_type_of(n_range, (1,))
+        alpha, n_range = hyper.get("alpha"), hyper.get("n_range")
+        # a JSON int is finite, and may be too large for math.isfinite
+        if not (_has_type_of(alpha, 1.0) and (type(alpha) is int or math.isfinite(alpha))
+                and _has_type_of(n_range, (1,))
                 and len(n_range) == 2 and 1 <= n_range[0] <= n_range[1]):
-            raise CheckpointError(f"{path}: naive_bayes needs a number alpha and an n_range LO,HI")
+            raise CheckpointError(
+                f"{path}: naive_bayes needs a finite number alpha and an n_range LO,HI"
+            )
         return
     if header["max_len"] is None:
         raise CheckpointError(f"{path}: header field 'max_len' is missing a value")
@@ -549,4 +553,7 @@ def _read_checkpoint(fh, path) -> Checkpoint:
     missing = set(expected) - set(ckpt.weights)
     if missing:
         raise CheckpointShapeError(f"{path}: missing weights {sorted(missing)}")
+    weights = ckpt.weights.values()
+    if ckpt.preset == "naive_bayes" and not all(np.isfinite(a).all() for a in weights):
+        raise CheckpointError(f"{path}: naive_bayes tables hold NaN or Inf")
     return ckpt

@@ -146,7 +146,7 @@ def test_criterion_6_naive_bayes_oracle_equivalence():
         qks = rng.choice(tokens, size=rng.integers(0, 4), replace=False)
         query = {k: int(rng.integers(1, 3)) for k in qks}
         expected = _brute_force_posterior(docs, labels, alpha, query)
-        got = nb_positive_probability(model, query)
+        got = nb_positive_probability(model, [query])[0]
         assert abs(got - expected) <= 1e-12, (docs, labels, alpha, query)
         cases += 1
 

@@ -186,6 +186,20 @@ class TestTrainEvaluatePredict:
         assert code == 2 and err.startswith("error:") and len(err.splitlines()) == 1
         assert "Traceback" not in err and not out_path.exists()
 
+    @pytest.mark.parametrize("flags", [
+        ["--lr", "nan"], ["--lr", "inf"],
+        ["--preset", "naive_bayes", "--alpha", "nan"], ["--preset", "naive_bayes", "--alpha", "inf"],
+    ], ids=["lr-nan", "lr-inf", "alpha-nan", "alpha-inf"])
+    def test_non_finite_step_is_usage_error(self, capsys, toy_corpus, tmp_path, flags):
+        _, train_csv, _, _ = toy_corpus
+        out_path = tmp_path / "x.ckpt"
+        code, _, err = run_cli(
+            capsys, "train", "--train", str(train_csv), "--epochs", "1", *flags,
+            "--out", str(out_path),
+        )
+        assert code == 2 and err.startswith("error:") and len(err.splitlines()) == 1
+        assert "Traceback" not in err and not out_path.exists()
+
     def test_naive_bayes_preset(self, capsys, toy_corpus, tmp_path):
         _, train_csv, test_csv, _ = toy_corpus
         nb_path = tmp_path / "nb.ckpt"

@@ -213,8 +213,9 @@ class TestTrainLoop:
         assert "accuracy" in hist[1]["train_metrics"]
 
     def test_bad_config_values(self):
-        with pytest.raises(ConfigError):
-            tiny_config(learning_rate=0.0)
+        for lr in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigError):
+                tiny_config(learning_rate=lr)
         with pytest.raises(ConfigError):
             tiny_config(epochs=0)
         with pytest.raises(ConfigError):
@@ -409,6 +410,33 @@ class TestPersistence:
         path = tmp_path / "nb.ckpt"
         train.save(ckpt, path)
         with pytest.raises(CheckpointError, match="n_range"):
+            train.load(path)
+
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), float("-inf")])
+    def test_nb_non_finite_alpha_rejected(self, tmp_path, alpha):
+        ckpt = train.train_naive_bayes(small_dga())
+        ckpt.hyperparameters["alpha"] = alpha
+        path = tmp_path / "nb.ckpt"
+        train.save(ckpt, path)
+        with pytest.raises(CheckpointError, match="alpha"):
+            train.load(path)
+
+    def test_nb_huge_int_alpha_loads(self, tmp_path):
+        ckpt = train.train_naive_bayes(small_dga())
+        ckpt.hyperparameters["alpha"] = 10**400
+        path = tmp_path / "nb.ckpt"
+        train.save(ckpt, path)
+        assert train.load(path).hyperparameters["alpha"] == 10**400
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("name", ["class_log_prior", "token_log_prob"])
+    def test_nb_non_finite_table_rejected(self, tmp_path, name, value):
+        ckpt = train.train_naive_bayes(small_dga())
+        ckpt.weights[name] = ckpt.weights[name].copy()
+        ckpt.weights[name].flat[-1] = value
+        path = tmp_path / "nb.ckpt"
+        train.save(ckpt, path)
+        with pytest.raises(CheckpointError, match="NaN or Inf"):
             train.load(path)
 
     def test_nb_on_imbalanced_synthetic_shows_precision_over_recall(self):

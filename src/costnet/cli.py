@@ -29,35 +29,21 @@ from .loss import compute_class_weights
 from .metrics import THRESHOLD
 from .models import PRESETS
 
-TRAIN_DEFAULTS = {
-    "preset": "cnn",
-    "gamma": 0.0,
-    "epochs": 100,
-    "lr": 0.01,
-    "batch_size": 64,
-    "seed": 0,
-    "max_len": None,
-    "use_case": None,
-    "raw_weights": False,
-    "eval_every": 0,
-    "alpha": 1.0,
-    "ngrams": "1,2",
-}
-
-#: JSON types a --config file may give each key; booleans count only where listed
-_CONFIG_TYPES = {
-    "preset": (str,),
-    "gamma": (int, float),
-    "epochs": (int,),
-    "lr": (int, float),
-    "batch_size": (int,),
-    "seed": (int,),
-    "max_len": (int, type(None)),
-    "use_case": (str, type(None)),
-    "raw_weights": (bool,),
-    "eval_every": (int,),
-    "alpha": (int, float),
-    "ngrams": (str, list),
+#: every train option's built-in default and the kind of value (``trainer.of_kind``)
+#: that a flag or a --config key must give it
+TRAIN_OPTIONS = {
+    "preset": ("cnn", frozenset(PRESETS + ("naive_bayes",))),
+    "gamma": (0.0, tr.NUMBER),
+    "epochs": (100, tr.COUNT),
+    "lr": (0.01, tr.POSITIVE),
+    "batch_size": (64, tr.COUNT),
+    "seed": (0, tr.COUNT),
+    "max_len": (None, (tr.COUNT, type(None))),
+    "use_case": (None, (frozenset(USE_CASES), type(None))),
+    "raw_weights": (False, bool),
+    "eval_every": (0, tr.COUNT),
+    "alpha": (1.0, tr.POSITIVE),
+    "ngrams": ([1, 2], tr.PAIR),
 }
 
 
@@ -66,17 +52,6 @@ def _int_pair(text: str) -> tuple[int, int]:
     if len(parts) != 2:
         raise argparse.ArgumentTypeError(f"expected LO,HI, got {text!r}")
     return int(parts[0]), int(parts[1])
-
-
-def _ngram_range(value) -> tuple[int, int]:
-    """The naive_bayes n-gram range from "LO,HI" or a JSON [LO, HI]."""
-    try:
-        lo, hi = _int_pair(value) if isinstance(value, str) else value
-    except (argparse.ArgumentTypeError, ValueError) as exc:
-        raise ConfigError(f"n-gram range must be LO,HI, got {value!r}") from exc
-    if not all(type(n) is int for n in (lo, hi)):
-        raise ConfigError(f"n-gram range must be two integers, got {value!r}")
-    return lo, hi
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -107,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="fit a model and write a checkpoint")
     p.add_argument("--train", required=True, dest="train_path", help="training CSV")
-    p.add_argument("--preset", choices=PRESETS + ("naive_bayes",))
+    p.add_argument("--preset", choices=sorted(TRAIN_OPTIONS["preset"][1]))
     p.add_argument("--gamma", type=float)
     p.add_argument("--epochs", type=int)
     p.add_argument("--lr", type=float)
@@ -186,27 +161,30 @@ def _cmd_weights(args) -> int:
 
 
 def _merge_train_options(args) -> dict:
-    merged = dict(TRAIN_DEFAULTS)
+    """Defaults, overridden by the --config file, then by flags; each value checked for its kind."""
+    merged = {key: default for key, (default, _) in TRAIN_OPTIONS.items()}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             try:
                 file_cfg = json.load(fh)
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            except ValueError as exc:  # bad UTF-8 or JSON, or an int of over 4300 digits
                 raise ConfigError(f"{args.config}: malformed JSON: {exc}") from exc
         if not isinstance(file_cfg, dict):
             raise ConfigError(f"{args.config}: expected a JSON object")
-        unknown = set(file_cfg) - set(TRAIN_DEFAULTS)
+        unknown = set(file_cfg) - set(TRAIN_OPTIONS)
         if unknown:
             raise ConfigError(f"unknown config keys {sorted(unknown)}")
-        for key, value in file_cfg.items():
-            allowed = _CONFIG_TYPES[key]
-            if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in allowed):
-                raise ConfigError(f"config key {key!r} has the wrong type: {value!r}")
         merged.update(file_cfg)
-    for key in TRAIN_DEFAULTS:
-        flag_value = getattr(args, key)
-        if flag_value is not None:
-            merged[key] = flag_value
+    for key, (_, kind) in TRAIN_OPTIONS.items():
+        value = merged[key] if getattr(args, key) is None else getattr(args, key)
+        if kind == tr.PAIR and type(value) is str:  # "LO,HI", as --ngrams takes it
+            try:
+                value = [int(n) for n in value.split(",")]
+            except ValueError:
+                pass  # still a string, so not a pair
+        if not tr.of_kind(value, kind):
+            raise ConfigError(f"bad value for option {key!r}: {value!r}")
+        merged[key] = value
     return merged
 
 
@@ -217,7 +195,7 @@ def _cmd_train(args) -> int:
         if opts["gamma"]:
             print("note: naive_bayes ignores --gamma", file=sys.stderr)
         ckpt = tr.train_naive_bayes(
-            dataset, alpha=opts["alpha"], n_range=_ngram_range(opts["ngrams"])
+            dataset, alpha=opts["alpha"], n_range=tuple(opts["ngrams"])
         )
     else:
         config = tr.TrainConfig(

@@ -1,9 +1,17 @@
-"""Exception types shared across the package.
+"""Exception types, and the finite-number test, shared across the package.
 
 Contract violations raise a subclass of CostnetError so callers (and the
 CLI exit-code mapping) can distinguish bad usage from bad data from
 corrupted artifacts.
 """
+
+import sys
+
+
+def is_number(value) -> bool:
+    """An int or float, not a bool, within float range; compared, so a huge int cannot overflow."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and -sys.float_info.max <= value <= sys.float_info.max)
 
 
 class CostnetError(Exception):

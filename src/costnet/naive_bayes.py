@@ -10,13 +10,12 @@ class sums every document's log score.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, is_number
 
 
 @dataclass
@@ -42,7 +41,7 @@ def nb_train(
     documents: Sequence[Mapping[str, int]], labels, alpha: float = 1.0
 ) -> NaiveBayesModel:
     """Fit priors and smoothed token likelihoods from per-document counts."""
-    if not (math.isfinite(alpha) and alpha > 0):
+    if not (is_number(alpha) and alpha > 0):
         raise ConfigError(f"smoothing alpha must be finite and > 0, got {alpha}")
     y = np.asarray(labels)
     if len(documents) != y.shape[0]:

@@ -82,6 +82,7 @@ def ngram_counts(text: str, n_lo: int, n_hi: int) -> NgramCounts:
     if not 1 <= n_lo <= n_hi:
         raise ConfigError(f"bad n-gram range [{n_lo}, {n_hi}]")
     text = text.lower()
+    longest = min(n_hi, len(text))  # no n-gram is longer than the text
     return Counter(
-        [text[i : i + n] for n in range(n_lo, n_hi + 1) for i in range(len(text) - n + 1)]
+        [text[i : i + n] for n in range(n_lo, longest + 1) for i in range(len(text) - n + 1)]
     )

@@ -20,6 +20,7 @@ import logging
 import math
 import os
 from dataclasses import asdict, dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -34,6 +35,7 @@ from .errors import (
     ConfigError,
     ContractError,
     DataError,
+    is_number,
 )
 from .loss import compute_class_weights, weighted_bce
 from .metrics import confusion, metrics_report
@@ -68,8 +70,10 @@ class TrainConfig:
     dims: models.PresetDims = field(default_factory=models.PresetDims)
 
     def __post_init__(self):
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+        if not (is_number(self.learning_rate) and self.learning_rate > 0):
             raise ConfigError(f"learning rate must be finite and > 0, got {self.learning_rate}")
+        if self.max_len is not None and not (is_number(self.max_len) and self.max_len >= 1):
+            raise ConfigError(f"max_len must be >= 1 and within float range, got {self.max_len}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 2:
@@ -394,30 +398,55 @@ def _expected_shapes(ckpt: Checkpoint) -> dict[str, tuple[int, ...]]:
     return {entry.name: entry.shape for entry in models.parameter_table(_checkpoint_spec(ckpt))}
 
 
-# every field of a checkpoint header with the JSON types ``save`` writes;
-# ``history`` and ``manifest`` may be absent
-_HEADER_TYPES = {
-    "preset": (str,),
-    "use_case": (str, type(None)),
-    "max_len": (int, type(None)),
-    "vocab": (list,),
-    "hyperparameters": (dict,),
-    "history": (list,),
-    "manifest": (list,),
+# Kinds of JSON value, for train options and checkpoint headers alike. A kind
+# is a JSON type (str, bool, list, dict or NoneType), one of the names below,
+# a frozenset of the strings allowed, [kind] for a list of that kind, or a
+# tuple of kinds any of which will do.
+NUMBER = "number"  # an int or float, not a bool, within float range
+POSITIVE = "positive"  # a number > 0
+COUNT = "count"  # an int >= 0, not a bool
+PAIR = "pair"  # [LO, HI], two ints with 1 <= LO <= HI
+
+_KIND_TESTS = {
+    NUMBER: is_number,
+    POSITIVE: lambda v: is_number(v) and v > 0,
+    COUNT: lambda v: type(v) is int and v >= 0,
+    PAIR: lambda v: (type(v) is list and len(v) == 2
+                     and all(type(n) is int for n in v) and 1 <= v[0] <= v[1]),
 }
 
 
-def _is_count(value) -> bool:
-    return type(value) is int and value >= 0
+def of_kind(value, kind) -> bool:
+    """Whether a JSON value is of ``kind``."""
+    if type(kind) is type:
+        return isinstance(value, kind)
+    if type(kind) is tuple:
+        return any(of_kind(value, k) for k in kind)
+    if type(kind) is frozenset:
+        return type(value) is str and value in kind
+    if type(kind) is list:
+        # a list of a JSON type, such as a vocab of 10^4 n-grams, is checked at C speed
+        test = isinstance if type(kind[0]) is type else of_kind
+        return type(value) is list and all(map(test, value, repeat(kind[0])))
+    return _KIND_TESTS[kind](value)
 
 
-def _has_type_of(value, example) -> bool:
-    """Whether a JSON value has the type of ``example``; an int passes for a float."""
-    if isinstance(example, tuple):
-        return isinstance(value, list) and all(_has_type_of(v, example[0]) for v in value)
-    if isinstance(example, float):
-        return type(value) in (int, float)
-    return type(value) is type(example)
+# every field of a checkpoint header with the kind ``save`` writes;
+# ``history`` and ``manifest`` may be absent
+_HEADER_KINDS = {
+    "preset": str,
+    "use_case": (str, type(None)),
+    "max_len": (COUNT, type(None)),
+    "vocab": [str],
+    "hyperparameters": dict,
+    "history": list,
+    "manifest": list,
+}
+# each dims key's kind, read off its PresetDims default
+_DIMS_KINDS = {
+    key: {int: COUNT, float: NUMBER, tuple: [COUNT]}[type(default)]
+    for key, default in asdict(models.PresetDims()).items()
+}
 
 
 def _check_header(header, path) -> None:
@@ -431,47 +460,30 @@ def _check_header(header, path) -> None:
         )
     header.setdefault("history", [])
     header.setdefault("manifest", [])
-    for key, types in _HEADER_TYPES.items():
+    for key, kind in _HEADER_KINDS.items():
         if key not in header:
             raise CheckpointError(f"{path}: header has no {key!r}")
-        if type(header[key]) not in types:
-            raise CheckpointError(
-                f"{path}: header field {key!r} is a {type(header[key]).__name__}"
-            )
-    if not all(type(token) is str for token in header["vocab"]):
-        raise CheckpointError(f"{path}: vocab holds a non-string entry")
+        if not of_kind(header[key], kind):
+            raise CheckpointError(f"{path}: header field {key!r} has the wrong kind")
     for entry in header["manifest"]:
-        if not (
-            type(entry) is list
-            and len(entry) == 5
-            and type(entry[0]) is str
-            and type(entry[1]) is list
-            and all(map(_is_count, entry[1]))
-            and _is_count(entry[2])
-            and _is_count(entry[3])
-            and type(entry[4]) is str
-        ):
+        if not (type(entry) is list and len(entry) == 5
+                and all(map(of_kind, entry, (str, [COUNT], COUNT, COUNT, str)))):
             raise CheckpointError(
                 f"{path}: manifest entry {entry!r} is not [name, shape, offset, length, dtype]"
             )
     hyper = header["hyperparameters"]
     if header["preset"] == "naive_bayes":
-        alpha, n_range = hyper.get("alpha"), hyper.get("n_range")
-        # a JSON int is finite, and may be too large for math.isfinite
-        if not (_has_type_of(alpha, 1.0) and (type(alpha) is int or math.isfinite(alpha))
-                and _has_type_of(n_range, (1,))
-                and len(n_range) == 2 and 1 <= n_range[0] <= n_range[1]):
+        if not (of_kind(hyper.get("alpha"), POSITIVE) and of_kind(hyper.get("n_range"), PAIR)):
             raise CheckpointError(
-                f"{path}: naive_bayes needs a finite number alpha and an n_range LO,HI"
+                f"{path}: naive_bayes needs a number alpha > 0 and an n_range LO,HI"
             )
         return
     if header["max_len"] is None:
         raise CheckpointError(f"{path}: header field 'max_len' is missing a value")
     dims = hyper.get("dims", {})
-    defaults = asdict(models.PresetDims())
-    if not isinstance(dims, dict) or not all(
-        key in defaults and _has_type_of(value, defaults[key]) for key, value in dims.items()
-    ):
+    if not (type(dims) is dict and all(
+        key in _DIMS_KINDS and of_kind(value, _DIMS_KINDS[key]) for key, value in dims.items()
+    )):
         raise CheckpointError(f"{path}: malformed dims {dims!r}")
 
 
@@ -490,7 +502,7 @@ def _read_header(fh, path) -> tuple[dict, int]:
     raw = b"".join(parts)
     try:
         header = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # bad UTF-8 or JSON, or an int of over 4300 digits
         raise CheckpointError(f"{path}: malformed header: {exc}") from exc
     _check_header(header, path)
     return header, len(raw) + 1

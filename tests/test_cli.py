@@ -5,9 +5,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from costnet import cli
+from costnet import cli, trainer
+from costnet.errors import CheckpointError, ConfigError
 from costnet.metrics import ConfusionMatrix, scores
+from costnet.naive_bayes import nb_train
+from costnet.text import ngram_counts
 
 
 def run_cli(capsys, *argv):
@@ -200,6 +205,29 @@ class TestTrainEvaluatePredict:
         assert code == 2 and err.startswith("error:") and len(err.splitlines()) == 1
         assert "Traceback" not in err and not out_path.exists()
 
+    @pytest.mark.parametrize("text,flags", [
+        (json.dumps({"lr": 10**400}), []),
+        (json.dumps({"alpha": 10**400}), ["--preset", "naive_bayes"]),
+        (json.dumps({"max_len": 10**400}), []),
+        ("{}", ["--max-len", str(10**400)]),
+        (json.dumps({"alpha": 0}), ["--preset", "naive_bayes"]),
+        (json.dumps({"use_case": "xx"}), []),
+        (json.dumps({"preset": "xx"}), []),
+        ('{"epochs": 1' + "0" * 5000 + "}", []),
+    ], ids=["lr-huge", "alpha-huge", "max-len-huge", "max-len-huge-flag", "alpha-zero",
+            "unknown-use-case", "unknown-preset", "int-past-digit-limit"])
+    def test_bad_config_value_is_one_usage_error(self, capsys, toy_corpus, tmp_path, text, flags):
+        _, train_csv, _, _ = toy_corpus
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        out_path = tmp_path / "x.ckpt"
+        code, _, err = run_cli(
+            capsys, "train", "--train", str(train_csv), "--epochs", "1", "--config", str(cfg),
+            *flags, "--out", str(out_path),
+        )
+        assert code == 2 and err.startswith("error:") and len(err.splitlines()) == 1
+        assert "Traceback" not in err and not out_path.exists()
+
     def test_naive_bayes_preset(self, capsys, toy_corpus, tmp_path):
         _, train_csv, test_csv, _ = toy_corpus
         nb_path = tmp_path / "nb.ckpt"
@@ -278,6 +306,14 @@ def _tampered(header, fault):
         header["hyperparameters"]["dims"]["pool"] = 0
     elif fault == "kernel-past-max-len":
         header["hyperparameters"]["dims"]["conv_kernel"] = header["max_len"] + 1
+    elif fault == "alpha-zero":
+        header["hyperparameters"]["alpha"] = 0
+    elif fault == "alpha-negative":
+        header["hyperparameters"]["alpha"] = -1
+    elif fault == "alpha-huge":
+        header["hyperparameters"]["alpha"] = 10**400
+    elif fault == "bool-manifest-count":
+        header["manifest"][0][3] = True
     return header
 
 
@@ -299,6 +335,95 @@ def test_tampered_header_is_clean_error(toy_corpus, tmp_path, fault):
     )
     assert out.returncode == 1
     assert out.stderr.startswith("error:") and "Traceback" not in out.stderr
+
+
+@pytest.fixture(scope="module")
+def toy_nb_model(toy_corpus):
+    root, train_csv, _, _ = toy_corpus
+    model = root / "nb.ckpt"
+    assert cli.main(["train", "--train", str(train_csv), "--preset", "naive_bayes",
+                     "--out", str(model)]) == 0
+    return model
+
+
+@pytest.mark.parametrize("fault", [
+    "alpha-zero", "alpha-negative", "alpha-huge", "bool-manifest-count",
+])
+def test_tampered_header_is_checkpoint_error(toy_corpus, toy_nb_model, tmp_path, fault):
+    # more faults of the kind above, checked in-process to spare a subprocess each
+    model = toy_nb_model if fault.startswith("alpha") else toy_corpus[3]
+    head, blob = model.read_bytes().split(b"\x00", 1)
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(json.dumps(_tampered(json.loads(head), fault)).encode("utf-8") + b"\x00" + blob)
+    with pytest.raises(CheckpointError):
+        trainer.load(bad)
+
+
+def test_int_past_digit_limit_in_header_is_checkpoint_error(toy_corpus, tmp_path):
+    head, blob = toy_corpus[3].read_bytes().split(b"\x00", 1)
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(head[:-1] + b',"x":1' + b"0" * 5000 + b"}\x00" + blob)
+    with pytest.raises(CheckpointError, match="malformed header"):
+        trainer.load(bad)
+
+
+# JSON scalars and nested lists: values some option takes, values none takes,
+# and the edges between, such as ints beyond float range, NaN and bools
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=6),
+    st.sampled_from([10**400, -(10**400), 2**63, 1e308]),
+    st.sampled_from([0, 1, 2, 64, 0.5, "cnn", "naive_bayes", "dga", "email",
+                     "1,2", "2,1", "1,x", "1,99", [1, 3]]),
+)
+_JSON_VALUES = st.one_of(
+    _JSON_SCALARS, st.recursive(_JSON_SCALARS, lambda inner: st.lists(inner, max_size=3))
+)
+# values each of the 12 options takes, so that the object with one value
+# drawn from _JSON_VALUES often passes the merge and reaches the trainer
+_IN_KIND = {
+    "preset": ["cnn", "lstm", "naive_bayes"], "gamma": [0, 0.5, 1.0], "epochs": [1, 3],
+    "lr": [0.01, 2], "batch_size": [2, 64], "seed": [0, 7], "max_len": [None, 30],
+    "use_case": [None, "dga"], "raw_weights": [False, True], "eval_every": [0, 2],
+    "alpha": [0.5, 1], "ngrams": ["1,3", [2, 4]],
+}
+
+
+@settings(max_examples=200, deadline=None)
+@example(file_cfg={}, key="lr", value=10**400)
+@example(file_cfg={"preset": "naive_bayes"}, key="alpha", value=10**400)
+@example(file_cfg={}, key="max_len", value=10**400)
+@given(
+    file_cfg=st.fixed_dictionaries(
+        {}, optional={key: st.sampled_from(values) for key, values in _IN_KIND.items()}
+    ),
+    key=st.sampled_from(sorted(_IN_KIND)),
+    value=_JSON_VALUES,
+)
+def test_any_config_object_is_accepted_or_a_config_error(tmp_path_factory, file_cfg, key, value):
+    file_cfg[key] = value
+    path = tmp_path_factory.getbasetemp() / "property-config.json"
+    path.write_text(json.dumps(file_cfg))
+    args = cli.build_parser().parse_args(
+        ["train", "--train", "unread.csv", "--out", "unwritten.ckpt", "--config", str(path)]
+    )
+    try:
+        opts = cli._merge_train_options(args)
+    except ConfigError:
+        return
+    builds = [
+        lambda: trainer.TrainConfig(
+            learning_rate=opts["lr"], epochs=opts["epochs"], batch_size=opts["batch_size"],
+            gamma=opts["gamma"], normalize_weights=not opts["raw_weights"], seed=opts["seed"],
+            preset=opts["preset"], max_len=opts["max_len"], eval_every=opts["eval_every"],
+        ),
+        lambda: nb_train([{"a": 1}, {"b": 1}], [0, 1], alpha=opts["alpha"]),
+        lambda: ngram_counts("ab.com", *opts["ngrams"]),
+    ]
+    for build in builds:
+        try:
+            build()
+        except ConfigError:
+            pass
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -68,7 +68,8 @@ class TestTrain:
         with pytest.raises(ConfigError):
             nb_train([{"a": 1}, {"b": 1}], [0, 1], alpha=0.0)
 
-    @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), 10**400],
+                             ids=["nan", "inf", "int-past-float-range"])
     def test_non_finite_alpha(self, alpha):
         with pytest.raises(ConfigError, match="finite"):
             nb_train([{"a": 1}, {"b": 1}], [0, 1], alpha=alpha)

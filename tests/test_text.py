@@ -92,6 +92,14 @@ def test_ngram_counts_bad_range():
         ngram_counts("abc", 0, 1)
 
 
+@given(text=texts)
+def test_ngram_range_past_the_text_stops_at_its_length(text):
+    # n_hi far beyond any text must not be looped over: this returns at once
+    counts = ngram_counts(text, 1, 10**400)
+    expected = ngram_counts(text, 1, max(1, len(text)))
+    assert list(counts.items()) == list(expected.items())
+
+
 @given(text=texts, n=st.integers(1, 5))
 def test_ngram_total_is_length_minus_n_plus_one(text, n):
     counts = ngram_counts(text, n, n)

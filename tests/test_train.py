@@ -213,9 +213,12 @@ class TestTrainLoop:
         assert "accuracy" in hist[1]["train_metrics"]
 
     def test_bad_config_values(self):
-        for lr in (0.0, float("nan"), float("inf")):
+        for lr in (0.0, float("nan"), float("inf"), 10**400):
             with pytest.raises(ConfigError):
                 tiny_config(learning_rate=lr)
+        for max_len in (0, 10**400):
+            with pytest.raises(ConfigError):
+                tiny_config(max_len=max_len)
         with pytest.raises(ConfigError):
             tiny_config(epochs=0)
         with pytest.raises(ConfigError):
@@ -421,12 +424,22 @@ class TestPersistence:
         with pytest.raises(CheckpointError, match="alpha"):
             train.load(path)
 
-    def test_nb_huge_int_alpha_loads(self, tmp_path):
+    def test_nb_huge_int_alpha_rejected(self, tmp_path):
+        # beyond float range, so nb_train could not have fitted it
         ckpt = train.train_naive_bayes(small_dga())
         ckpt.hyperparameters["alpha"] = 10**400
         path = tmp_path / "nb.ckpt"
         train.save(ckpt, path)
-        assert train.load(path).hyperparameters["alpha"] == 10**400
+        with pytest.raises(CheckpointError, match="alpha"):
+            train.load(path)
+
+    def test_nb_n_range_past_the_text_scores_at_once(self, tmp_path):
+        ckpt = train.train_naive_bayes(small_dga(), n_range=(1, 3))
+        expected = train.predict_probability(ckpt, "abc")  # no n-gram of "abc" is longer than 3
+        ckpt.hyperparameters["n_range"] = [1, 10**400]
+        path = tmp_path / "nb.ckpt"
+        train.save(ckpt, path)
+        assert train.predict_probability(train.load(path), "abc") == expected
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize("name", ["class_log_prior", "token_log_prob"])

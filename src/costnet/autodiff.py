@@ -9,8 +9,8 @@ a map from leaf tensors to gradient arrays.
 ``embedding`` is the one op that returns no Tensor. Its ``Lookup`` record
 hands ``(table, ids, pad_id)`` to the op that reads it, and that op gathers
 only what it needs: ``conv1d_valid`` and ``lstm`` fold the lookup into their
-first product and differentiate the table directly, and ``reshape`` gathers
-the rows themselves.
+first product, ``matmul`` gathers the rows up to the last filled position,
+and each differentiates the table directly.
 
 Numerics: float32 is the working precision, float64 is used for gradient
 checking. All op outputs are validated to be finite, so a diverging training
@@ -254,38 +254,33 @@ def bce_with_logits(z: Tensor, y: np.ndarray, w: np.ndarray) -> Tensor:
     return _emit(out, (z,), back)
 
 
-def reshape(x: Tensor | Lookup, shape: tuple[int, ...]) -> Tensor:
-    """``x`` in a new shape; given a ``Lookup``, its gathered rows in that shape.
+def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
+    out = x.data.reshape(shape)
 
-    The gather's gradient scatters back with accumulation over repeated ids;
-    the pad row is kept frozen by skipping its positions in the scatter.
-    """
-    if not isinstance(x, Lookup):
-        out = x.data.reshape(shape)
+    def back(g):
+        return (g.reshape(x.shape),)
 
-        def back(g):
-            return (g.reshape(x.shape),)
-
-        return _emit(out, (x,), back)
-    table, ids, pad_id = x
-    rows = table.data[ids].reshape(shape)
-
-    def gather_back(g):
-        dt = np.zeros_like(table.data)
-        flat_ids, g_rows = ids.reshape(-1), g.reshape(-1, table.shape[1])
-        # the remaining rows keep their order, so each sum is unchanged
-        keep = flat_ids != pad_id
-        np.add.at(dt, flat_ids[keep], g_rows[keep])
-        return (dt,)
-
-    return _emit(rows, (table,), gather_back)
+    return _emit(out, (x,), back)
 
 
 # ---------------------------------------------------------------------------
 # linear algebra
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def matmul(a: Tensor | Lookup, b: Tensor) -> Tensor:
+    """``a @ b``; given a ``Lookup``, its gathered rows, flattened per row, times ``b``.
+
+    A lookup of a ``[vocab, dim]`` table E by ``[batch, len]`` ids needs a
+    ``[len * dim, units]`` ``b``. Positions past the last column that holds a
+    non-pad id in any row read the pad row; when that row is all zero they add
+    exact zeros, so only the ``live`` prefix is gathered and multiplied by
+    ``b[:live * dim]``. Its backward fills rows ``[0, live * dim)`` of an
+    otherwise zero ``db`` with one GEMM and scatters ``g @ b_live^T`` into E
+    with accumulation over repeated ids, skipping pad positions so the pad row
+    stays frozen. The node records E as its input.
+    """
+    if isinstance(a, Lookup):
+        return _lookup_matmul(a, b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
     out = a.data @ b.data
@@ -298,10 +293,44 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _emit(out, (a, b), back)
 
 
+def _lookup_matmul(x: Lookup, w: Tensor) -> Tensor:
+    table, ids, pad_id = x
+    dim = table.shape[1]
+    if ids.ndim != 2 or w.data.ndim != 2 or ids.shape[1] * dim != w.shape[0]:
+        raise ShapeError(
+            f"matmul: lookup of {ids.shape} ids into {table.shape} cannot multiply {w.shape}"
+        )
+    live = ids.shape[1]
+    if not table.data[pad_id].any():
+        filled = np.flatnonzero((ids != pad_id).any(axis=0))
+        live = int(filled[-1]) + 1 if filled.size else 0
+    live_ids = ids[:, :live]
+    rows = table.data[live_ids].reshape(len(ids), live * dim)
+    w_live = w.data[: live * dim]
+    out = rows @ w_live
+
+    def back(g):
+        de = dw = None
+        if w.requires_grad:
+            dw = np.zeros_like(w.data)
+            np.matmul(rows.T, g, out=dw[: live * dim])
+        if table.requires_grad:
+            de = np.zeros_like(table.data)
+            flat_ids = live_ids.reshape(-1)
+            # the kept positions stay in order, so each row's sum is unchanged
+            keep = flat_ids != pad_id
+            np.add.at(de, flat_ids[keep], (g @ w_live.T).reshape(-1, dim)[keep])
+        return de, dw
+
+    return _emit(out, (table, w), back)
+
+
 class Lookup(NamedTuple):
     """Rows ``ids`` of a ``[vocab, dim]`` table, not yet gathered.
 
     ``pad_id`` names the row the lookup keeps frozen: it gets no gradient.
+    ``conv1d_valid``, ``lstm`` and ``matmul`` read a lookup; ``matmul`` skips
+    the trailing pad positions when the pad row is all zero.
     """
 
     table: Tensor
@@ -314,10 +343,10 @@ def embedding(table: Tensor, ids: np.ndarray, pad_id: int = 0) -> Lookup:
 
     Checks the ids against the table and the table for NaN or Inf, and
     returns a ``Lookup``: no gather, no tensor and no tape node.
-    ``conv1d_valid`` and ``lstm`` fold it into their first product; ``reshape``
-    gathers it. The table is checked here because no output check can stand in
-    for it: the lstm's gates saturate, so an infinite entry leaves its output
-    finite.
+    ``conv1d_valid`` and ``lstm`` fold it into their first product; ``matmul``
+    gathers its live prefix. The table is checked here because no output check
+    can stand in for it: the lstm's gates saturate, so an infinite entry leaves
+    its output finite.
     """
     ids = np.asarray(ids)
     if ids.min(initial=0) < 0 or (ids.size and ids.max() >= table.shape[0]):

@@ -13,7 +13,6 @@ import json
 import logging
 import sys
 
-from . import gradcheck as gc
 from . import trainer as tr
 from .data import (
     SOURCE_CORPUS_COUNTS,
@@ -234,6 +233,8 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
+    from . import gradcheck as gc  # imported here, off the cold predict path
+
     results = gc.run_checks(args.preset)
     _emit(results)
     return 0 if gc.all_within_tolerance(results) else 1

@@ -80,14 +80,22 @@ def _check_batchnorm() -> float:
     return ad.grad_check(f, [x, sc, sh])
 
 
-def _check_embedding_reshape() -> float:
-    """reshape of an embedding lookup, the one op that gathers the table's rows."""
+def _check_embedding_matmul() -> float:
+    """matmul of an embedding lookup, the one op that gathers the table's rows.
+
+    The pad row is frozen, so the table is probed on pad-free ids; the weights
+    are also probed on ids with pad columns at the end, which the op skips.
+    """
     rng = np.random.default_rng(110)
     table = ad.Tensor(rng.standard_normal((7, 4)), dtype=np.float64)
-    ids = rng.integers(1, 7, size=(3, 5))  # keep the frozen pad row unused
-    proj = _probe(rng, (3, 5, 4))
-    return ad.grad_check(
-        lambda t: proj(ad.reshape(ad.embedding(t, ids, pad_id=0), (3, 5, 4))), table
+    w = ad.Tensor(rng.standard_normal((20, 3)), dtype=np.float64)
+    ids = rng.integers(1, 7, size=(3, 5))
+    proj = _probe(rng, (3, 3))
+    padded = np.where(np.arange(5) < 3, ids, 0)  # two trailing pad columns
+    zero_pad = ad.Tensor(np.vstack([np.zeros((1, 4)), table.data[1:]]))
+    return max(
+        ad.grad_check(lambda t, w_: proj(ad.matmul(ad.embedding(t, ids, pad_id=0), w_)), [table, w]),
+        ad.grad_check(lambda w_: proj(ad.matmul(ad.embedding(zero_pad, padded, pad_id=0), w_)), w),
     )
 
 
@@ -169,7 +177,7 @@ _OP_CHECKS = {
     "sigmoid": _check_sigmoid,
     "add_mul_broadcast": _check_add_mul,
     "batchnorm": _check_batchnorm,
-    "embedding_reshape": _check_embedding_reshape,
+    "embedding_matmul": _check_embedding_matmul,
     "lstm": _check_lstm,
     "embedding_conv1d": _check_embedding_conv1d,
     "embedding_lstm": _check_embedding_lstm,

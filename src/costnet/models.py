@@ -18,10 +18,11 @@ hyperparameter check, output shape, arrays and forward op. ``LayerSpec``,
 The embedding layer gathers nothing: ``ad.embedding`` hands an ``ad.Lookup``
 of its table and ids to the next layer. ``ad.conv1d_valid`` (cnn, cnn_lstm)
 and ``ad.lstm`` (lstm) fold it into their first linear map, gathering rows of a
-``[vocab, out]`` product of the table and their weights, and differentiate the
-table directly; dnn's flatten, an ``ad.reshape``, is the one place that gathers
-the table's rows. cnn_lstm's lstm reads maxpool output, a tensor. The input
-alone decides this, so ``_KINDS`` needs no rule for it.
+``[vocab, out]`` product of the table and their weights. dnn's flatten passes
+the lookup on, and its first dense layer's ``ad.matmul`` is the one place that
+gathers the table's rows: only up to the last position any row fills, since
+the zero pad row adds nothing. Each of them differentiates the table directly.
+cnn_lstm's lstm reads maxpool output, a tensor; the input alone decides this.
 
 Weight init is uniform Glorot; the recurrent forget-gate bias starts at 1,
 the embedding pad row starts (and stays) at zero. ``parameter_table`` lists
@@ -222,7 +223,10 @@ _KINDS: dict[str, _Kind] = {
     "dropout": _Kind(valid=lambda layer: 0.0 <= layer.rate < 1.0, apply=_dropout_apply),
     "flatten": _Kind(
         out=lambda layer, shape: (math.prod(shape),),
-        apply=lambda layer, h, get, run: ad.reshape(h, (len(run.ids), -1)),
+        # a lookup stays ungathered for the dense layer's matmul
+        apply=lambda layer, h, get, run: (
+            h if isinstance(h, ad.Lookup) else ad.reshape(h, (len(run.ids), -1))
+        ),
     ),
     "relu": _Kind(apply=lambda layer, h, get, run: ad.relu(h)),
 }

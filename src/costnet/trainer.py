@@ -93,6 +93,11 @@ _ADAM_EPS = 1e-8
 # Elements per block of the Adam update: four float32 blocks (p, g, m, v) plus
 # the two scratch blocks stay in L2. 16 K to 128 K elements time within 10 %.
 _ADAM_BLOCK = 1 << 15
+# Every this many steps Adam zeroes the first moments below the dtype's
+# smallest normal number. A dead unit's m decays by beta1 a step into
+# subnormals, whose arithmetic is several times slower; the step such an m
+# makes is far below half an ulp of any weight of normal size.
+_ADAM_FLUSH_EVERY = 64
 
 
 class AdamState:
@@ -128,9 +133,11 @@ def adam_step(
     block the operations are those of the textbook formula
     ``p -= lr * (m / bias1) / (sqrt(v / bias2) + eps)`` in the same order and
     precision, so the result is bit-identical to evaluating it whole-array.
-    A missing gradient counts as zeros.
+    A missing gradient counts as zeros. Every ``_ADAM_FLUSH_EVERY``-th step
+    ends by zeroing the subnormal first moments.
     """
     state.t += 1
+    flush = state.t % _ADAM_FLUSH_EVERY == 0
     b1, b2, eps = _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS
     bias1 = 1.0 - b1**state.t
     bias2 = 1.0 - b2**state.t
@@ -147,6 +154,7 @@ def adam_step(
         vf = state.v[name].reshape(-1)
         gf = np.broadcast_to(pf.dtype.type(0), pf.shape) if g is None else g.reshape(-1)
         s1, s2 = state.scratch(pf.dtype)
+        tiny = np.finfo(pf.dtype).tiny
         for lo in range(0, pf.size, _ADAM_BLOCK):
             hi = lo + _ADAM_BLOCK
             pb, gb, mb, vb = pf[lo:hi], gf[lo:hi], mf[lo:hi], vf[lo:hi]
@@ -165,6 +173,9 @@ def adam_step(
             b *= lr
             b /= a
             pb -= b
+            if flush:
+                np.abs(mb, out=a)
+                np.putmask(mb, a < tiny, 0)
 
 
 def epoch_batches(n: int, batch_size: int, rng: np.random.Generator) -> list[np.ndarray]:

@@ -538,8 +538,25 @@ class TestLstmOp:
 
 
 def gathered(table, ids, pad_id=0):
-    """The rows of ``table`` at ``ids``, gathered by reshaping the lookup."""
-    return ad.reshape(ad.embedding(table, ids, pad_id=pad_id), ids.shape + table.shape[1:])
+    """Reference: the rows of ``table`` at ``ids`` as a tensor, scattered back.
+
+    The scatter accumulates over repeated ids and skips pad positions, so the
+    pad row gets no gradient.
+    """
+    rows = table.data[ids]
+
+    def back(g):
+        dt = np.zeros_like(table.data)
+        flat_ids, g_rows = ids.reshape(-1), g.reshape(-1, table.shape[1])
+        keep = flat_ids != pad_id
+        np.add.at(dt, flat_ids[keep], g_rows[keep])
+        return (dt,)
+
+    return ad._emit(rows, (table,), back)
+
+
+def lookup_matmul(table, ids, w, pad_id=0):
+    return ad.matmul(ad.embedding(table, ids, pad_id=pad_id), w)
 
 
 class TestEmbeddingOp:
@@ -561,9 +578,9 @@ class TestEmbeddingOp:
         table = t64(np.arange(12, dtype=float).reshape(4, 3))
         ids = np.array([[1, 1, 0]])
         with ad.Tape() as tape:
-            out = gathered(table, ids)
+            out = lookup_matmul(table, ids, ad.Tensor(np.eye(9)))  # the flattened rows
             loss = ad.tsum(out)
-        np.testing.assert_array_equal(out.data[0, 0], [3.0, 4.0, 5.0])
+        np.testing.assert_array_equal(out.data[0], [3.0, 4.0, 5.0, 3.0, 4.0, 5.0, 0.0, 1.0, 2.0])
         g = tape.gradients(loss)[table]
         np.testing.assert_array_equal(g[1], [2.0, 2.0, 2.0])  # id 1 used twice
         np.testing.assert_array_equal(g[0], 0.0)  # pad row frozen
@@ -577,10 +594,11 @@ class TestEmbeddingOp:
         rng = np.random.default_rng(31)
         table = t64(rng.standard_normal((5, 3)))
         ids = np.array([[2, 4, 2], [1, 3, 3]])
-        r = ad.Tensor(rng.standard_normal((2, 3, 3)))
+        w = ad.Tensor(rng.standard_normal((9, 4)))
+        r = ad.Tensor(rng.standard_normal((2, 4)))
 
         def f(tb):
-            return ad.tsum(ad.mul(gathered(tb, ids), r))
+            return ad.tsum(ad.mul(lookup_matmul(tb, ids, w), r))
 
         assert ad.grad_check(f, table) < 1e-6
 
@@ -589,10 +607,11 @@ class TestEmbeddingOp:
         rng = np.random.default_rng(32)
         table = t64(rng.standard_normal((4, 3)))
         ids = np.array([[0, 2, 0], [2, 0, 1]])
-        r = ad.Tensor(rng.standard_normal((2, 3, 3)))
+        w = ad.Tensor(rng.standard_normal((9, 4)))
+        r = ad.Tensor(rng.standard_normal((2, 4)))
 
         def f(tb):
-            return ad.tsum(ad.mul(gathered(tb, ids, pad_id=3), r))
+            return ad.tsum(ad.mul(lookup_matmul(tb, ids, w, pad_id=3), r))
 
         assert ad.grad_check(f, table) < 1e-6
 
@@ -604,15 +623,106 @@ class TestEmbeddingOp:
         pad_id = 5 if case == "no-pad-id" else 0  # row 5: no id reads it
         if case == "all-pad":
             ids[:] = 0
-        r = ad.Tensor(rng.standard_normal((32, 40, 5)).astype(np.float32))
+        w = ad.Tensor(rng.standard_normal((200, 7)).astype(np.float32))
+        r = ad.Tensor(rng.standard_normal((32, 7)).astype(np.float32))
         with ad.Tape() as tape:
-            loss = ad.tsum(ad.mul(gathered(table, ids, pad_id), r))
+            loss = ad.tsum(ad.mul(lookup_matmul(table, ids, w, pad_id), r))
         got = tape.gradients(loss)[table]
         # the scatter of every position into a dense table, pad row zeroed after
         want = np.zeros_like(table.data)
-        np.add.at(want, ids.reshape(-1), r.data.reshape(-1, 5))
+        np.add.at(want, ids.reshape(-1), (r.data @ w.data.T).reshape(-1, 5))
         want[pad_id] = 0
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def matmul_inputs(case, dtype):
+    """A table with a zero pad row, ``[4, 11]`` ids and ``[55, 6]`` weights.
+
+    ``case`` places the pads: trailing columns of unequal length, interior
+    pads as well, every position, or trailing pads under a nonzero pad row.
+    """
+    rng = np.random.default_rng(41)
+    table = rng.standard_normal((9, 5))
+    table[0] = 1.5 if case == "nonzero-pad-row" else 0.0
+    ids = rng.integers(1, 9, size=(4, 11))
+    ids[np.arange(11) >= np.array([[5], [8], [3], [7]])] = 0  # live width 8
+    if case == "interior":
+        ids[:, 2] = 0
+        ids[1, [0, 6]] = 0
+    elif case == "all-pad":
+        ids[:] = 0
+    w = rng.standard_normal((55, 6))
+    return table.astype(dtype), ids, w.astype(dtype)
+
+
+def matmul_run(table, ids, w, gather_first=False):
+    """Output, table gradient and weight gradient of the lookup matmul.
+
+    With ``gather_first`` the reference gathers every position and multiplies
+    the full width: the ``gathered`` node, a reshape and a tensor matmul.
+    """
+    tb, wt = ad.Tensor(table, requires_grad=True), ad.Tensor(w, requires_grad=True)
+    with ad.Tape() as tape:
+        if gather_first:
+            out = ad.matmul(ad.reshape(gathered(tb, ids), (len(ids), -1)), wt)
+        else:
+            out = lookup_matmul(tb, ids, wt)
+        r = ad.Tensor(np.random.default_rng(97).standard_normal(out.shape).astype(out.dtype))
+        loss = ad.tsum(ad.mul(out, r))
+    grads = tape.gradients(loss)
+    return out.data, grads[tb], grads[wt]
+
+
+MATMUL_CASES = ["trailing", "interior", "all-pad", "nonzero-pad-row"]
+
+
+class TestLookupMatmul:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("case", MATMUL_CASES)
+    def test_matches_gather_then_matmul(self, case, dtype):
+        table, ids, w = matmul_inputs(case, dtype)
+        out, d_table, d_w = matmul_run(table, ids, w)
+        ref_out, ref_table, ref_w = matmul_run(table, ids, w, gather_first=True)
+        assert out.dtype == d_table.dtype == d_w.dtype == dtype
+        # fewer zero terms may regroup the sums, so the output can move by a
+        # rounding of each term's size; the gradients' sums keep their length
+        terms = np.abs(table[ids]).reshape(len(ids), -1) @ np.abs(w)
+        bound = {np.float64: 1e-12, np.float32: 8 * np.finfo(np.float32).eps}[dtype]
+        assert (np.abs(out - ref_out) <= bound * terms).all()
+        assert d_table.tobytes() == ref_table.tobytes()
+        assert d_w.tobytes() == ref_w.tobytes()
+
+    def test_full_width_under_a_nonzero_pad_row_is_the_reference(self):
+        table, ids, w = matmul_inputs("nonzero-pad-row", np.float32)
+        out, _, d_w = matmul_run(table, ids, w)
+        ref_out, _, _ = matmul_run(table, ids, w, gather_first=True)
+        assert out.tobytes() == ref_out.tobytes()
+        assert np.abs(d_w[40:]).min() > 0  # every position's rows are trained
+
+    @pytest.mark.parametrize("case", ["trailing", "interior", "all-pad"])
+    def test_weight_rows_past_the_live_width_are_positive_zero(self, case):
+        table, ids, w = matmul_inputs(case, np.float32)
+        live = 0 if case == "all-pad" else 8
+        _, _, d_w = matmul_run(table, ids, w)
+        past = d_w[live * 5 :]
+        assert past.tobytes() == np.zeros_like(past).tobytes()
+        assert case == "all-pad" or np.abs(d_w[: live * 5]).max() > 0
+
+    def test_all_pad_output_is_zero(self):
+        table, ids, w = matmul_inputs("all-pad", np.float64)
+        out, d_table, d_w = matmul_run(table, ids, w)
+        assert out.shape == (4, 6) and not out.any() and not d_table.any() and not d_w.any()
+
+    def test_infer_output_equals_tape_output(self):
+        table, ids, w = matmul_inputs("interior", np.float32)
+        out, _, _ = matmul_run(table, ids, w)
+        infer = lookup_matmul(ad.Tensor(table), ids, ad.Tensor(w))
+        assert infer.data.tobytes() == out.tobytes()
+
+    def test_width_mismatch_rejected(self):
+        table, ids, w = matmul_inputs("trailing", np.float64)
+        with pytest.raises(ShapeError, match="matmul"):
+            lookup_matmul(ad.Tensor(table), ids, ad.Tensor(w[:50]))
 
 
 def im2col_conv1d(x, kernels, bias):

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from costnet import cli, trainer
-from costnet.errors import CheckpointError, ConfigError
+from costnet.errors import CheckpointError, ConfigError, CostnetError
 from costnet.metrics import ConfusionMatrix, scores
 from costnet.naive_bayes import nb_train
 from costnet.text import ngram_counts
@@ -426,8 +426,72 @@ def test_any_config_object_is_accepted_or_a_config_error(tmp_path_factory, file_
             pass
 
 
+def _header_paths(node, prefix=()):
+    """The key path of every value in a header; lists give their first three items."""
+    yield prefix
+    items = node.items() if isinstance(node, dict) else enumerate(node[:3]) if isinstance(node, list) else ()
+    for key, value in items:
+        yield from _header_paths(value, prefix + (key,))
+
+
+_DELETED = object()
+
+
+@settings(max_examples=200, deadline=None)
+@given(nb=st.booleans(), data=st.data())
+def test_any_single_field_mutation_of_a_header_loads_or_is_a_checkpoint_error(
+    toy_corpus, toy_nb_model, tmp_path_factory, nb, data
+):
+    head, blob = (toy_nb_model if nb else toy_corpus[3]).read_bytes().split(b"\x00", 1)
+    header = json.loads(head)
+    path = data.draw(st.sampled_from(list(_header_paths(header))), label="path")
+    value = data.draw(st.one_of(st.just(_DELETED), _JSON_VALUES), label="value")
+    if not path:
+        header = None if value is _DELETED else value
+    else:
+        parent = header
+        for key in path[:-1]:
+            parent = parent[key]
+        if value is _DELETED:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    bad = tmp_path_factory.getbasetemp() / "property-header.ckpt"
+    bad.write_bytes(json.dumps(header).encode("utf-8") + b"\x00" + blob)
+    try:
+        ckpt = trainer.load(bad)
+    except CheckpointError:
+        return
+    # one that loads scores, or fails as cleanly: a moved offset can read NaN weights
+    try:
+        assert 0.0 <= trainer.predict_probability(ckpt, "a.com") <= 1.0
+    except CostnetError:
+        pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw=st.binary(max_size=300), keep=st.integers(0, 1 << 20))
+def test_any_bytes_are_a_checkpoint_or_a_checkpoint_error(toy_corpus, tmp_path_factory, raw, keep):
+    # bare bytes, and a saved checkpoint cut anywhere with bytes appended
+    path = tmp_path_factory.getbasetemp() / "property-bytes.ckpt"
+    for content in (raw, toy_corpus[3].read_bytes()[:keep] + raw):
+        path.write_bytes(content)
+        try:
+            trainer.load(path)
+        except CheckpointError:
+            pass
+
+
 def test_cli_import_leaves_scipy_unloaded():
     code = "import sys, costnet.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_import_leaves_gradcheck_unloaded():
+    # cold predicts neither compile nor run the gradient checks
+    code = "import sys, costnet.cli; print('costnet.gradcheck' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"

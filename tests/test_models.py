@@ -163,6 +163,20 @@ class TestForward:
         np.testing.assert_array_equal(g[PAD_ID], 0.0)
         assert np.abs(g[2:]).sum() > 0
 
+    def test_dnn_first_dense_layer_reads_the_filled_positions_of_the_lookup(self):
+        spec, params = models.build_model("dnn", 20, 12, seed=4, dims=TINY)
+        ids = random_ids(np.random.default_rng(7), 6, 12, 20, pad_tail=5)
+        w = compute_class_weights([1, 1], gamma=0.0)
+        table, dense_w = params.tensors["00.embedding.table"], params.tensors["02.dense.w"]
+        with ad.Tape() as tape:
+            logits = models.forward(spec, params, ids, mode="train", rng=np.random.default_rng(0))
+            out = weighted_bce(logits, np.ones(6, dtype=int), w)
+        assert tape._nodes[0].inputs == (table, dense_w)  # no gather node before it
+        grads = tape.gradients(out)
+        live = 7 * TINY.embed_dim
+        assert not grads[dense_w][live:].any() and np.abs(grads[dense_w][:live]).max() > 0
+        assert not grads[table][PAD_ID].any()
+
     @pytest.mark.parametrize("mode", ["infer", "train"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("preset", models.PRESETS)

@@ -73,6 +73,28 @@ class TestAdam:
         with pytest.raises(ContractError):
             train.adam_step(p, {"w": np.zeros(4)}, train.AdamState(), lr=0.1)
 
+    def test_first_moments_hold_no_subnormal_after_a_flush_step(self):
+        # one gradient, then none: each m decays by beta1 a step into float32
+        # subnormals (~810 steps from 0.1) and stops at a subnormal fixed point
+        g = np.array([1.0, -1.0, 0.5, 2.0], dtype=np.float32)
+        ours = {"w": ad.Tensor(np.ones(4, dtype=np.float32), requires_grad=True)}
+        ref = {"w": ad.Tensor(np.ones(4, dtype=np.float32), requires_grad=True)}
+        s_ours, s_ref = train.AdamState(), train.AdamState()
+        tiny = np.finfo(np.float32).tiny
+        flush_at = 13 * train._ADAM_FLUSH_EVERY
+        for step in range(1, flush_at + 9):
+            grads = {"w": g if step == 1 else np.zeros(4, dtype=np.float32)}
+            train.adam_step(ours, grads, s_ours, lr=0.01)
+            reference_adam_step(ref, grads, s_ref, lr=0.01)
+            m = s_ours.m["w"]
+            subnormal = (m != 0) & (np.abs(m) < tiny)
+            if step == flush_at - 1:
+                assert subnormal.all()
+            if step == flush_at:
+                assert not subnormal.any() and not m.any()
+        # the moments a flush zeroes move no weight
+        assert ours["w"].data.tobytes() == ref["w"].data.tobytes()
+
 
 def reference_adam_step(params, grads, state, lr):
     """Adam evaluated whole-array, one temporary per operation."""

@@ -17,11 +17,13 @@ checking. All op outputs are validated to be finite, so a diverging training
 run fails loudly instead of silently poisoning weights with NaN.
 
 Thread model: tensors are treated as immutable values (only the optimizer
-mutates parameter data, single-threaded); one tape belongs to one thread.
+mutates parameter data, single-threaded); one tape belongs to one thread, and
+ops run in another thread record nothing on it.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -86,7 +88,13 @@ class _Node:
         self.backward_fn = backward_fn
 
 
-_ACTIVE_TAPE: "Tape | None" = None
+class _ThreadTape(threading.local):
+    """The innermost tape open in the calling thread; each thread sees its own."""
+
+    tape: "Tape | None" = None
+
+
+_ACTIVE_TAPE = _ThreadTape()
 
 
 class Tape:
@@ -97,14 +105,12 @@ class Tape:
         self._outer: Tape | None = None
 
     def __enter__(self) -> "Tape":
-        global _ACTIVE_TAPE
-        self._outer = _ACTIVE_TAPE
-        _ACTIVE_TAPE = self
+        self._outer = _ACTIVE_TAPE.tape
+        _ACTIVE_TAPE.tape = self
         return self
 
     def __exit__(self, *exc) -> None:
-        global _ACTIVE_TAPE
-        _ACTIVE_TAPE = self._outer
+        _ACTIVE_TAPE.tape = self._outer
         self._outer = None
 
     def __len__(self) -> int:
@@ -135,7 +141,7 @@ class Tape:
 
 def _recording(inputs: Sequence[Tensor]) -> bool:
     """Whether an op on these inputs would be recorded on the active tape."""
-    return _ACTIVE_TAPE is not None and any(t.requires_grad for t in inputs)
+    return _ACTIVE_TAPE.tape is not None and any(t.requires_grad for t in inputs)
 
 
 def _emit(out_data: np.ndarray, inputs: Sequence[Tensor], backward_fn) -> Tensor:
@@ -143,7 +149,7 @@ def _emit(out_data: np.ndarray, inputs: Sequence[Tensor], backward_fn) -> Tensor
     track = _recording(inputs)
     out = Tensor(out_data, requires_grad=track)
     if track:
-        _ACTIVE_TAPE._nodes.append(_Node(tuple(inputs), out, backward_fn))
+        _ACTIVE_TAPE.tape._nodes.append(_Node(tuple(inputs), out, backward_fn))
     return out
 
 

@@ -38,6 +38,11 @@ class CharVocabulary:
             raise DataError("vocabulary entries must be single characters")
         self.chars = chars
         self._ids = {c: i + 2 for i, c in enumerate(chars)}
+        # the code points in ascending order and the id of each, for encode_batch
+        codes = np.array([ord(c) for c in chars], dtype=np.uint32)
+        order = np.argsort(codes)
+        self._sorted_codes = codes[order]
+        self._sorted_ids = order.astype(np.int64) + 2
 
     @property
     def size(self) -> int:
@@ -71,10 +76,26 @@ def encode(text: str, vocab: CharVocabulary, max_len: int) -> list[int]:
 
 
 def encode_batch(texts, vocab: CharVocabulary, max_len: int) -> np.ndarray:
-    """The int64 ``[n, max_len]`` id matrix whose rows are ``encode`` of each text."""
-    texts = list(texts)
-    ids = np.array([encode(t, vocab, max_len) for t in texts], dtype=np.int64)
-    return ids.reshape(len(texts), max_len)
+    """The int64 ``[n, max_len]`` id matrix whose rows are ``encode`` of each text.
+
+    The kept prefixes are joined and looked up at once, by binary search of
+    each code point in the vocabulary's sorted code points.
+    """
+    if max_len < 1:
+        raise ConfigError(f"max_len must be >= 1, got {max_len}")
+    heads = [t.lower()[:max_len] for t in texts]
+    lengths = np.fromiter(map(len, heads), dtype=np.int64, count=len(heads))
+    # surrogatepass: a lone surrogate becomes its own code point, as ord gives it
+    codes = np.frombuffer("".join(heads).encode("utf-32-le", "surrogatepass"), dtype="<u4")
+    known = vocab._sorted_codes
+    ids = np.full(codes.shape, OOV_ID, dtype=np.int64)
+    if known.size:
+        at = np.minimum(np.searchsorted(known, codes), known.size - 1)
+        hit = known[at] == codes
+        ids[hit] = vocab._sorted_ids[at[hit]]
+    out = np.full((len(heads), max_len), PAD_ID, dtype=np.int64)
+    out[np.arange(max_len) < lengths[:, None]] = ids
+    return out
 
 
 def ngram_counts(text: str, n_lo: int, n_hi: int) -> NgramCounts:

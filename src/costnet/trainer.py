@@ -15,10 +15,12 @@ storage would break across a save/load cycle.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import math
 import os
+import threading
 from dataclasses import asdict, dataclass, field
 from itertools import repeat
 
@@ -53,7 +55,9 @@ from .text import (
 logger = logging.getLogger("costnet")
 
 FORMAT_VERSION = 1
-_EVAL_BATCH = 512
+# most rows in one scoring chunk: few enough that a few hundred rows split
+# into chunks for two cores, enough that per-op Python cost stays small
+_EVAL_BATCH = 256
 
 
 @dataclass
@@ -307,13 +311,80 @@ def _checkpoint_spec(ckpt: Checkpoint) -> models.ModelSpec:
     return models.model_spec(ckpt.preset, len(ckpt.vocab) + 2, ckpt.max_len, dims=dims)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 where the platform cannot say."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return 1
+
+
+@functools.cache
+def _openblas_thread_getter():
+    """The thread-count function of the OpenBLAS bundled with numpy, or None."""
+    import ctypes
+
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    names = sorted(os.listdir(libs)) if os.path.isdir(libs) else []
+    for path in (os.path.join(libs, name) for name in names if "openblas" in name):
+        lib = ctypes.CDLL(path)
+        for symbol in (
+            "scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_", "openblas_get_num_threads",
+        ):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = [], ctypes.c_int
+                return fn
+    return None
+
+
+def _blas_threads() -> int | None:
+    """Threads numpy's OpenBLAS reports now, asked on each call; None when there is no such OpenBLAS."""
+    getter = _openblas_thread_getter()
+    return None if getter is None else int(getter())
+
+
 def _forward_all(spec, params, ids) -> np.ndarray:
-    """Infer-mode probabilities of every row, scored in views of ``_EVAL_BATCH`` rows."""
-    chunks = [
-        models.forward(spec, params, ids[start : start + _EVAL_BATCH], mode="infer").data
-        for start in range(0, len(ids), _EVAL_BATCH)
-    ]
-    return np.concatenate(chunks)
+    """Infer-mode probabilities of every row, in balanced chunks of at most ``_EVAL_BATCH`` rows.
+
+    The chunk bounds depend on the row count alone, so a row's probability does
+    not depend on the thread that scores it. Threads take chunks in turn: one
+    per usable CPU when there are several chunks and CPUs and numpy's OpenBLAS
+    reports one thread, else the calling thread alone. A chunk's error is
+    raised here, never through ``threading.excepthook``.
+    """
+    n = len(ids)
+    count = max(1, -(-n // _EVAL_BATCH))
+    bounds = [i * n // count for i in range(count + 1)]
+    workers = min(_usable_cpus(), count) if count > 1 else 1
+    if workers > 1 and _blas_threads() != 1:
+        workers = 1
+    probs: list[np.ndarray | None] = [None] * count
+    errors: dict[int, BaseException] = {}
+    todo = iter(range(count))
+    lock = threading.Lock()
+
+    def work() -> None:
+        while not errors:
+            with lock:
+                i = next(todo, None)
+            if i is None:
+                return
+            try:
+                chunk = ids[bounds[i] : bounds[i + 1]]
+                probs[i] = models.forward(spec, params, chunk, mode="infer").data
+            except BaseException as exc:
+                errors[i] = exc
+
+    threads = [threading.Thread(target=work) for _ in range(workers - 1)]
+    for t in threads:
+        t.start()
+    work()
+    for t in threads:
+        t.join()
+    if errors:
+        raise errors[min(errors)]
+    return np.concatenate(probs)
 
 
 def predict_probabilities(ckpt: Checkpoint, texts) -> np.ndarray:
@@ -323,6 +394,11 @@ def predict_probabilities(ckpt: Checkpoint, texts) -> np.ndarray:
     A neural checkpoint's arrays become the model's parameters without any
     weight init, the texts are encoded once, and a warning is logged when
     most of their characters are out of the model's vocabulary.
+
+    Neural scoring runs in chunks of at most ``_EVAL_BATCH`` rows, on one
+    thread per usable CPU when there are several chunks and CPUs and numpy's
+    OpenBLAS reports one thread (``OPENBLAS_NUM_THREADS=1``), else one chunk
+    after another. Either way each probability is the same.
     """
     texts = list(texts)
     if not texts:

@@ -1,3 +1,4 @@
+import threading
 import warnings
 
 import numpy as np
@@ -315,6 +316,17 @@ class TestBackward:
         x = t64([1.0])
         y = ad.mul(x, x)
         assert not y.requires_grad
+
+    def test_ops_in_another_thread_record_nothing_on_an_open_tape(self):
+        x = t64([1.0])
+        seen = []
+        with ad.Tape() as tape:
+            worker = threading.Thread(target=lambda: seen.append(ad.mul(x, x)))
+            worker.start()
+            worker.join()
+            assert len(tape) == 0 and not seen[0].requires_grad
+            ad.mul(x, x)
+        assert len(tape) == 1
 
 
 class TestGradCheck:

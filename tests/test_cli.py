@@ -489,6 +489,14 @@ def test_cli_import_leaves_scipy_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+def test_cli_import_leaves_concurrent_futures_unloaded():
+    # its import would land on every cold predict; scoring starts plain threads
+    code = "import sys, costnet.cli; print('concurrent.futures' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"
+
+
 def test_cli_import_leaves_gradcheck_unloaded():
     # cold predicts neither compile nor run the gradient checks
     code = "import sys, costnet.cli; print('costnet.gradcheck' in sys.modules)"

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from costnet.errors import ConfigError, DataError
@@ -71,6 +71,27 @@ def test_encode_batch_shapes():
     assert ids.shape == (2, 3) and ids.dtype == np.int64
     assert ids.tolist() == [encode("a", vocab, 3), encode("abab", vocab, 3)]
     assert encode_batch([], vocab, 3).shape == (0, 3)
+
+
+# any code point, lone surrogates included
+unicode_text = st.text(alphabet=st.characters(exclude_categories=()), max_size=20)
+
+
+@given(
+    batch=st.lists(unicode_text, max_size=6),
+    chars=st.lists(st.characters(exclude_categories=()), unique=True, max_size=12),
+    max_len=st.integers(1, 25),
+)
+@example(batch=["ΑΣ", "ǅ\U0001F600İx", "\ud800a\x00"], chars=["ς", "σ", "x", "\x00", "\ud800"], max_len=3)
+def test_encode_batch_rows_are_encode_of_each_text(batch, chars, max_len):
+    vocab = CharVocabulary(chars)
+    expected = [encode(t, vocab, max_len) for t in batch]
+    assert encode_batch(batch, vocab, max_len).tolist() == expected
+
+
+def test_encode_batch_bad_max_len():
+    with pytest.raises(ConfigError):
+        encode_batch(["a"], fit_vocab(["a"]), 0)
 
 
 def test_ngram_counts_bigrams():

@@ -3,6 +3,7 @@ import logging
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -10,8 +11,8 @@ import numpy as np
 import pytest
 
 from costnet import autodiff as ad
-from costnet import models, trainer as train
-from costnet.data import GeneratorConfig, LabeledDataset, gen_synthetic
+from costnet import cli, models, trainer as train
+from costnet.data import GeneratorConfig, LabeledDataset, gen_synthetic, save_csv
 from costnet.errors import (
     CheckpointError,
     CheckpointShapeError,
@@ -532,6 +533,138 @@ class TestInitFreeRebuild:
         message = {"shape": "has shape", "unknown": "unexpected", "missing": "missing"}[fault]
         with pytest.raises(CheckpointShapeError, match=message):
             train.load(path)
+
+
+def _scoring_threads(monkeypatch, cpus, blas):
+    """Make scoring see ``cpus`` usable CPUs and a BLAS reporting ``blas`` threads."""
+    monkeypatch.setattr(train, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(train, "_blas_threads", lambda: blas)
+
+
+def _fail_off_the_calling_thread(monkeypatch) -> DataError:
+    """Make ``models.forward`` raise in any thread but this one; returns the error.
+
+    The first two calls wait for each other, so two chunks are scored at once
+    and one of them is not on this thread.
+    """
+    err = DataError("chunk went bad")
+    caller, forward = threading.current_thread(), models.forward
+    meet, calls = threading.Barrier(2, timeout=30), []
+
+    def failing(*args, **kwargs):
+        calls.append(None)
+        if len(calls) <= 2:
+            meet.wait()
+        if threading.current_thread() is not caller:
+            raise err
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(models, "forward", failing)
+    return err
+
+
+@pytest.fixture(scope="module")
+def many():
+    """600 held-out rows: three scoring chunks of 200."""
+    return small_dga(n=300, seed=30, split="test")
+
+
+class TestThreadedScoring:
+    @pytest.mark.parametrize("preset", models.PRESETS)
+    def test_threaded_and_serial_probabilities_are_byte_identical(
+        self, saved_presets, monkeypatch, many, preset
+    ):
+        ckpt, _ = saved_presets[preset]
+        _scoring_threads(monkeypatch, 2, 1)
+        threaded = train.predict_probabilities(ckpt, many.texts)
+        _scoring_threads(monkeypatch, 2, None)
+        serial = train.predict_probabilities(ckpt, many.texts)
+        assert threaded.shape == (len(many),)
+        assert threaded.tobytes() == serial.tobytes()
+
+    def test_chunks_run_at_once_when_blas_runs_one_thread(self, saved_presets, monkeypatch, many):
+        ckpt, _ = saved_presets["cnn"]
+        _scoring_threads(monkeypatch, 2, 1)
+        # two chunks; each waits until the other is in flight too
+        meet = threading.Barrier(2, timeout=30)
+        forward = models.forward
+
+        def meeting(*args, **kwargs):
+            meet.wait()
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(models, "forward", meeting)
+        assert train.predict_probabilities(ckpt, many.texts[:300]).shape == (300,)
+
+    def test_many_threads_score_every_chunk_once(self, saved_presets, monkeypatch, many):
+        # more threads than cores, a thread switch every microsecond, 3-row chunks
+        ckpt, _ = saved_presets["lstm"]
+        monkeypatch.setattr(train, "_EVAL_BATCH", 3)
+        _scoring_threads(monkeypatch, 1, 1)
+        serial = train.predict_probabilities(ckpt, many.texts[:100])
+        _scoring_threads(monkeypatch, 8, 1)
+        forward, calls = models.forward, []
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(models, "forward", counting)
+        got = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            caller = threading.Thread(
+                target=lambda: got.append(train.predict_probabilities(ckpt, many.texts[:100]))
+            )
+            caller.start()
+            caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not caller.is_alive()
+        assert len(calls) == 34  # ceil(100 / 3) chunks
+        assert got[0].tobytes() == serial.tobytes()
+
+    @pytest.mark.parametrize("cpus, blas, rows", [
+        (1, 1, 600),  # one usable CPU
+        (2, 2, 600),  # BLAS runs threads of its own
+        (2, None, 600),  # BLAS thread count unknown
+        (2, 1, 256),  # one chunk
+    ])
+    def test_scores_on_the_calling_thread_otherwise(
+        self, saved_presets, monkeypatch, many, cpus, blas, rows
+    ):
+        ckpt, _ = saved_presets["cnn"]
+        _scoring_threads(monkeypatch, cpus, blas)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("scoring started a thread")
+
+        monkeypatch.setattr(threading, "Thread", refuse)
+        assert train.predict_probabilities(ckpt, many.texts[:rows]).shape == (rows,)
+
+    def test_a_worker_threads_error_reaches_the_caller(self, saved_presets, monkeypatch, many):
+        ckpt, _ = saved_presets["cnn"]
+        _scoring_threads(monkeypatch, 2, 1)
+        err = _fail_off_the_calling_thread(monkeypatch)
+        with pytest.raises(DataError) as caught:
+            train.evaluate(ckpt, many)
+        assert caught.value is err
+
+    def test_cli_reports_a_worker_threads_error_on_one_line(
+        self, saved_presets, monkeypatch, many, tmp_path, capsys
+    ):
+        _, path = saved_presets["cnn"]
+        test_csv = tmp_path / "many.csv"
+        save_csv(many, test_csv)
+        hooked = []
+        monkeypatch.setattr(threading, "excepthook", hooked.append)
+        _scoring_threads(monkeypatch, 2, 1)
+        _fail_off_the_calling_thread(monkeypatch)
+        code = cli.main(["evaluate", "--model", str(path), "--test", str(test_csv)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == "" and hooked == []
+        assert captured.err.splitlines() == ["error: chunk went bad"]
 
 
 @pytest.mark.parametrize("preset", models.PRESETS)

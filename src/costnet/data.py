@@ -282,6 +282,8 @@ def load_csv(path, use_case: str | None = None, split: str | None = None) -> Lab
                 labels.append(int(label))
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not valid UTF-8: {exc}") from exc
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+        raise ParseError(f"{path}: line {reader.line_num}: {exc}") from exc
     return LabeledDataset(tuple(texts), tuple(labels), use_case=use_case, split=split)
 
 

@@ -105,12 +105,18 @@ _ADAM_FLUSH_EVERY = 64
 
 
 class AdamState:
-    """First/second moment accumulators plus the shared step counter."""
+    """First/second moment accumulators plus the shared step counter.
+
+    ``touched[name]`` flags each ``_ADAM_BLOCK`` block of a parameter that has
+    ever had a nonzero gradient (NaN counts). A block not yet flagged still
+    holds ``m = v = +0``, which is what lets ``adam_step`` skip it.
+    """
 
     def __init__(self):
         self.t = 0
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
+        self.touched: dict[str, np.ndarray] = {}
         self._scratch: dict[np.dtype, tuple[np.ndarray, np.ndarray]] = {}
 
     def scratch(self, dtype) -> tuple[np.ndarray, np.ndarray]:
@@ -139,6 +145,14 @@ def adam_step(
     precision, so the result is bit-identical to evaluating it whole-array.
     A missing gradient counts as zeros. Every ``_ADAM_FLUSH_EVERY``-th step
     ends by zeroing the subnormal first moments.
+
+    A block that has never had a nonzero gradient and gets none now is
+    skipped, which costs one ``any()`` read. The skip is exact for a finite
+    ``lr``: the block holds ``m = v = +0``, so the formula keeps ``m`` at +0
+    (``+0 + -0`` is +0, so a -0.0 gradient changes nothing), keeps ``v`` at
+    +0, makes a step of ``+0 / eps`` and leaves every ``p`` as it is
+    (``p - +0`` is ``p``, -0 and NaN included). Once flagged, a block is
+    updated every step, since its moments still decay.
     """
     state.t += 1
     flush = state.t % _ADAM_FLUSH_EVERY == 0
@@ -152,6 +166,9 @@ def adam_step(
         if name not in state.m:
             state.m[name] = np.zeros_like(p.data)
             state.v[name] = np.zeros_like(p.data)
+            blocks = (p.data.size + _ADAM_BLOCK - 1) // _ADAM_BLOCK
+            state.touched[name] = np.zeros(blocks, dtype=bool)
+        touched = state.touched[name]
         # flat views: Tensor data, and so m and v, are C-contiguous
         pf = p.data.reshape(-1)
         mf = state.m[name].reshape(-1)
@@ -159,9 +176,14 @@ def adam_step(
         gf = np.broadcast_to(pf.dtype.type(0), pf.shape) if g is None else g.reshape(-1)
         s1, s2 = state.scratch(pf.dtype)
         tiny = np.finfo(pf.dtype).tiny
-        for lo in range(0, pf.size, _ADAM_BLOCK):
+        for k, lo in enumerate(range(0, pf.size, _ADAM_BLOCK)):
             hi = lo + _ADAM_BLOCK
-            pb, gb, mb, vb = pf[lo:hi], gf[lo:hi], mf[lo:hi], vf[lo:hi]
+            gb = gf[lo:hi]
+            if not touched[k]:
+                if g is None or not gb.any():
+                    continue
+                touched[k] = True
+            pb, mb, vb = pf[lo:hi], mf[lo:hi], vf[lo:hi]
             a, b = s1[: pb.size], s2[: pb.size]
             mb *= b1
             np.multiply(gb, 1 - b1, out=a)

@@ -262,6 +262,18 @@ class TestErrorsAndHelp:
         assert code == 1 and out == ""
         assert err.startswith("error:") and str(bad) in err
 
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_field_over_the_csv_limit_is_data_error(self, capsys, toy_corpus, tmp_path, command):
+        _, _, _, model = toy_corpus
+        bad = tmp_path / "long.csv"  # one character past the csv module's field limit
+        bad.write_text('text,label\nok.com,0\n"' + "a" * 131_073 + '",1\n')
+        argv = (["train", "--train", str(bad), "--out", str(tmp_path / "m.ckpt")]
+                if command == "train" else ["evaluate", "--model", str(model), "--test", str(bad)])
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"{bad}: line 3: field larger than field limit" in err
+
     def test_bad_gamma_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "weights", "--counts", "5,5", "--gamma", "7")
         assert code == 2

@@ -1,8 +1,11 @@
+import csv
 import math
 from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from costnet.data import (
     SOURCE_CORPUS_COUNTS,
@@ -175,3 +178,31 @@ class TestGenerator:
     def test_url_texts_have_scheme(self):
         ds = gen_synthetic(GeneratorConfig("url", 20, 20, seed=2))
         assert all(t.startswith(("http://", "https://")) for t in ds.texts)
+
+
+# pieces of CSV files: raw bytes, the characters CSV parsing turns on, and
+# fields around csv.field_size_limit() long, bare or quoted
+_CSV_PIECES = st.one_of(
+    st.binary(max_size=40),
+    st.sampled_from([b"text,label\n", b",", b"\n", b"\r", b'"', b"0", b"1", b"\x00", b"\xff", b"a.com"]),
+    st.builds(
+        lambda n, quote: quote + b"a" * n + quote,
+        st.integers(csv.field_size_limit() - 2, csv.field_size_limit() + 2),
+        st.sampled_from([b"", b'"']),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    raw=st.lists(_CSV_PIECES, max_size=12).map(b"".join),
+    split=st.sampled_from([None, "train", "test"]),
+)
+@example(raw=b'text,label\nok.com,0\n"' + b"a" * (csv.field_size_limit() + 1) + b'",1\n', split=None)
+def test_any_bytes_load_or_raise_a_data_error(tmp_path_factory, raw, split):
+    path = tmp_path_factory.getbasetemp() / "property-bytes.csv"
+    path.write_bytes(raw)
+    try:
+        assert isinstance(load_csv(path, split=split), LabeledDataset)
+    except DataError:  # ParseError included
+        pass

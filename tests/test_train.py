@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from costnet import autodiff as ad
 from costnet import cli, models, trainer as train
@@ -156,11 +158,74 @@ class TestBlockedAdam:
             tracemalloc.stop()
         assert peak < 1_000_000  # the parameter alone is 4 MB
 
-    @pytest.mark.parametrize("preset", ["dnn", "lstm"])
-    def test_checkpoint_bytes_match_whole_array_formula(self, monkeypatch, tmp_path, preset):
+    @settings(max_examples=40, deadline=None)
+    @given(
+        dtype=st.sampled_from([np.float32, np.float64]),
+        block=st.integers(0, 3),
+        kinds=st.lists(st.sampled_from(["zero", "neg_zero", "nan", "value", "none"]),
+                       min_size=1, max_size=8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(dtype=np.float32, block=1, kinds=["zero"] * 3 + ["value"] + ["zero"] * 3, seed=0)
+    @example(dtype=np.float64, block=3, kinds=["neg_zero", "value", "neg_zero", "none"], seed=1)
+    @example(dtype=np.float32, block=0, kinds=["zero", "nan", "zero", "value"], seed=2)
+    @example(dtype=np.float64, block=2, kinds=["none", "value", "none", "zero"], seed=3)
+    def test_skipped_blocks_keep_the_whole_array_formula_bytes(self, dtype, block, kinds, seed):
+        # "w" spans four blocks, the last one short; the chosen block's gradient
+        # follows `kinds` while the others get values. "none" leaves w out of
+        # the gradients for that step, and "absent" never gets one.
+        rng = np.random.default_rng(seed)
+        sizes = {"w": (3 * self.B + 7,), "absent": (2 * self.B + 3,)}
+        init = {k: rng.standard_normal(s).astype(dtype) for k, s in sizes.items()}
+        chosen = slice(block * self.B, (block + 1) * self.B)
+        init["w"][chosen][::5] = -0.0
+        ours = {k: ad.Tensor(a.copy(), requires_grad=True) for k, a in init.items()}
+        ref = {k: ad.Tensor(a.copy(), requires_grad=True) for k, a in init.items()}
+        s_ours, s_ref = train.AdamState(), train.AdamState()
+        for kind in kinds:
+            grads = {}
+            if kind != "none":
+                g = rng.standard_normal(sizes["w"]).astype(dtype)
+                part = g[chosen]
+                if kind != "value":
+                    part[:] = 0.0
+                if kind in ("neg_zero", "value"):
+                    part[::3] = -0.0
+                if kind == "nan":
+                    part[rng.integers(part.size)] = np.nan
+                grads["w"] = g
+            train.adam_step(ours, grads, s_ours, lr=0.003)
+            reference_adam_step(ref, grads, s_ref, lr=0.003)
+        for k in sizes:
+            assert ours[k].data.tobytes() == ref[k].data.tobytes(), k
+            assert s_ours.m[k].tobytes() == s_ref.m[k].tobytes(), k
+            assert s_ours.v[k].tobytes() == s_ref.v[k].tobytes(), k
+        # the chosen block was skipped until a nonzero or NaN entry reached it
+        reached = any(kind in ("nan", "value") for kind in kinds)
+        others = any(kind != "none" for kind in kinds)
+        expected = [reached if b == block else others for b in range(4)]
+        assert s_ours.touched["w"].tolist() == expected
+        assert not s_ours.touched["absent"].any()
+
+    # a dnn whose first dense weight spans four blocks, two of them holding
+    # only positions past small_dga's longest text (24 characters)
+    WIDE = dataclasses.replace(TINY, embed_dim=16, dnn_widths=(128, 24, 16, 8))
+
+    @pytest.mark.parametrize(
+        "preset,max_len,dims",
+        [("dnn", 24, TINY), ("lstm", 24, TINY), ("dnn", 64, WIDE)],
+        ids=["dnn", "lstm", "dnn-never-reached-positions"],
+    )
+    def test_checkpoint_bytes_match_whole_array_formula(
+        self, monkeypatch, tmp_path, preset, max_len, dims
+    ):
         ds = small_dga()
-        cfg = tiny_config(preset=preset, epochs=2, gamma=1.0)
+        cfg = tiny_config(preset=preset, max_len=max_len, dims=dims, epochs=2, gamma=1.0)
         ckpt, _ = train.train(ds, cfg)
+        if dims is self.WIDE:  # Adam skips the blocks no position reaches
+            assert max_len > max(map(len, ds.texts))
+            first = min(k for k in ckpt.weights if k.endswith("dense.w"))
+            assert ckpt.weights[first].size >= 3 * self.B
         train.save(ckpt, tmp_path / "blocked.ckpt")
         monkeypatch.setattr(train, "adam_step", reference_adam_step)
         ckpt, _ = train.train(ds, cfg)

@@ -12,7 +12,7 @@ from .loss import ClassWeights, compute_class_weights, weighted_bce
 from .metrics import ConfusionMatrix, confusion, scores
 from .models import ModelSpec, Parameters, PresetDims, build_model, forward
 from .naive_bayes import NaiveBayesModel, nb_train
-from .text import CharVocabulary, encode, fit_vocab, ngram_counts
+from .text import CharVocabulary, fit_vocab, ngram_counts
 from .trainer import Checkpoint, TrainConfig, evaluate, load, save, train
 
 __version__ = "0.1.0"
@@ -40,7 +40,6 @@ __all__ = [
     "NaiveBayesModel",
     "nb_train",
     "CharVocabulary",
-    "encode",
     "fit_vocab",
     "ngram_counts",
     "Checkpoint",

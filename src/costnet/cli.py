@@ -265,6 +265,9 @@ def main(argv=None) -> int:
     except (CostnetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # a legal input too big for this host
+        print(f"error: out of memory{': ' if str(exc) else ''}{exc}", file=sys.stderr)
+        return 1
 
 
 def entrypoint() -> None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, ContractError, DataError
+from .errors import ConfigError, ContractError, DataError, is_number
 
 
 @dataclass(frozen=True)
@@ -38,6 +38,8 @@ def compute_class_weights(counts, gamma: float, normalize: bool = True) -> Class
     counts = tuple(int(c) for c in counts)
     if any(c < 1 for c in counts):
         raise DataError(f"class counts must all be >= 1, got {counts}")
+    if not is_number(sum(counts)):
+        raise DataError("class counts must sum to within float range")
     if not 0.0 <= gamma <= 1.0:
         raise ConfigError(f"gamma must be in [0, 1], got {gamma}")
     raw = tuple((1.0 / c) ** gamma for c in counts)

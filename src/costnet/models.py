@@ -43,6 +43,9 @@ from .errors import ConfigError, EncodingError, ShapeError
 from .text import PAD_ID
 
 PRESETS = ("dnn", "cnn", "lstm", "cnn_lstm")
+# longest sequence a model takes: the csv module's field size limit, so the
+# longest text the CLI can read
+MAX_LEN_LIMIT = 131_072
 
 
 @dataclass(frozen=True)
@@ -289,8 +292,8 @@ def model_spec(
     """The layer stack of a preset, checked for a consistent chain; no weights."""
     if vocab_size < 2:
         raise ConfigError(f"vocab_size must be >= 2, got {vocab_size}")
-    if max_len < 3:
-        raise ConfigError(f"max_len must be >= 3, got {max_len}")
+    if not 3 <= max_len <= MAX_LEN_LIMIT:
+        raise ConfigError(f"max_len must be in [3, {MAX_LEN_LIMIT}], got {max_len}")
     layers = _preset_layers(preset, dims or PresetDims())
     spec = ModelSpec(layers=layers, vocab_size=vocab_size, max_len=max_len, preset=preset)
     output_shapes(spec)  # raises on an inconsistent chain

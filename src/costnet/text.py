@@ -37,7 +37,6 @@ class CharVocabulary:
         if any(len(c) != 1 for c in chars):
             raise DataError("vocabulary entries must be single characters")
         self.chars = chars
-        self._ids = {c: i + 2 for i, c in enumerate(chars)}
         # code point -> id for encode_batch, OOV in every unfilled slot; the
         # last slot stands for every code point past the largest one. 8 bytes
         # a slot: ~1 KB for ASCII, at most ~8.9 MB for a vocabulary with U+10FFFF
@@ -48,9 +47,6 @@ class CharVocabulary:
     @property
     def size(self) -> int:
         return len(self.chars) + 2
-
-    def id_for(self, char: str) -> int:
-        return self._ids.get(char, OOV_ID)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, CharVocabulary) and self.chars == other.chars
@@ -67,20 +63,13 @@ def fit_vocab(corpus) -> CharVocabulary:
     return CharVocabulary(sorted(seen))
 
 
-def encode(text: str, vocab: CharVocabulary, max_len: int) -> list[int]:
-    """Lowercase, map chars (unknown -> OOV), keep the first max_len, pad."""
-    if max_len < 1:
-        raise ConfigError(f"max_len must be >= 1, got {max_len}")
-    ids = [vocab.id_for(c) for c in text.lower()[:max_len]]
-    ids.extend([PAD_ID] * (max_len - len(ids)))
-    return ids
-
-
 def encode_batch(texts, vocab: CharVocabulary, max_len: int) -> np.ndarray:
-    """The int64 ``[n, max_len]`` id matrix whose rows are ``encode`` of each text.
+    """The int64 ``[n, max_len]`` id matrix of a batch of texts.
 
-    The kept prefixes are joined and looked up at once in the vocabulary's
-    dense code-point table.
+    Row i is text i lowercased, cut to its first ``max_len`` code points,
+    each mapped to its vocabulary id (``OOV_ID`` if unknown), and right-padded
+    with ``PAD_ID``. The kept prefixes are joined and looked up at once in the
+    vocabulary's dense code-point table.
     """
     if max_len < 1:
         raise ConfigError(f"max_len must be >= 1, got {max_len}")

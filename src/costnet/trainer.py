@@ -7,10 +7,10 @@ epoch shuffling, and dropout all derive from config.seed.
 
 Checkpoint container: a UTF-8 JSON header (format_version, preset, use_case,
 max_len, vocab, hyperparameters, history, weight manifest), a NUL byte, then
-the concatenated little-endian weight blobs in manifest order. Weights are
-float32; the naive_bayes kind stores float64 tables because its posteriors
-are contracted to 1e-12 agreement with exact Bayes arithmetic, which float32
-storage would break across a save/load cycle.
+the little-endian weight blobs in name order, back to back; ``load`` refuses
+any other layout. Weights are float32; the naive_bayes kind stores float64
+tables because its posteriors are contracted to 1e-12 agreement with exact
+Bayes arithmetic, which float32 storage would break across a save/load cycle.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import math
 import os
 import threading
 from dataclasses import asdict, dataclass, field
-from itertools import repeat
+from itertools import repeat, zip_longest
 
 import numpy as np
 
@@ -470,34 +470,38 @@ def _blob_dtype(preset: str) -> str:
     return "<f8" if preset == "naive_bayes" else "<f4"
 
 
+def _manifest(shapes: dict[str, tuple[int, ...]], dtype: str) -> list[list]:
+    """The weight manifest ``save`` writes for arrays of these shapes.
+
+    One ``[name, shape, offset, length, dtype]`` entry per array, sorted by
+    name, the blobs back to back from offset 0 of the weight section.
+    """
+    manifest = []
+    offset = 0
+    itemsize = np.dtype(dtype).itemsize
+    for name in sorted(shapes):
+        length = math.prod(shapes[name]) * itemsize
+        manifest.append([name, list(shapes[name]), offset, length, dtype])
+        offset += length
+    return manifest
+
+
 def save(ckpt: Checkpoint, path) -> None:
     """Write header + NUL + weight blobs; byte-stable for a given checkpoint."""
     dtype = _blob_dtype(ckpt.preset)
-    manifest = []
-    blobs = []
-    offset = 0
-    for name in sorted(ckpt.weights):
-        arr = np.ascontiguousarray(ckpt.weights[name]).astype(dtype, copy=False)
-        raw = arr.tobytes()
-        manifest.append([name, list(arr.shape), offset, len(raw), dtype])
-        blobs.append(raw)
-        offset += len(raw)
-    header = {
-        "format_version": FORMAT_VERSION,
-        "preset": ckpt.preset,
-        "use_case": ckpt.use_case,
-        "max_len": ckpt.max_len,
-        "vocab": list(ckpt.vocab),
-        "hyperparameters": ckpt.hyperparameters,
-        "history": ckpt.history,
-        "manifest": manifest,
+    arrays = {
+        name: np.ascontiguousarray(arr).astype(dtype, copy=False)
+        for name, arr in ckpt.weights.items()
     }
+    manifest = _manifest({name: arr.shape for name, arr in arrays.items()}, dtype)
+    header = {key: getattr(ckpt, key) for key in _HEADER_KINDS if key != "manifest"}
+    header.update(format_version=FORMAT_VERSION, manifest=manifest)
     payload = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(payload)
         fh.write(b"\x00")
-        for raw in blobs:
-            fh.write(raw)
+        for name, *_ in manifest:
+            fh.write(arrays[name].tobytes())
 
 
 def _expected_shapes(ckpt: Checkpoint) -> dict[str, tuple[int, ...]]:
@@ -540,8 +544,8 @@ def of_kind(value, kind) -> bool:
     return _KIND_TESTS[kind](value)
 
 
-# every field of a checkpoint header with the kind ``save`` writes;
-# ``history`` and ``manifest`` may be absent
+# every field of a checkpoint header but its format_version, with the kind
+# ``save`` writes; all but the manifest are the Checkpoint fields of that name
 _HEADER_KINDS = {
     "preset": str,
     "use_case": (str, type(None)),
@@ -567,8 +571,6 @@ def _check_header(header, path) -> None:
         raise CheckpointVersionError(
             f"{path}: unsupported format version {version!r}, expected {FORMAT_VERSION}"
         )
-    header.setdefault("history", [])
-    header.setdefault("manifest", [])
     for key, kind in _HEADER_KINDS.items():
         if key not in header:
             raise CheckpointError(f"{path}: header has no {key!r}")
@@ -629,51 +631,44 @@ def load(path) -> Checkpoint:
         raise CheckpointError(f"cannot read {path}: {exc}") from exc
 
 
+def _manifest_difference(found: list, expected: list) -> str:
+    """Where a stored manifest first departs from the expected one; they differ."""
+    names = {entry[0] for entry in expected}
+    for got, want in zip_longest(found, expected):
+        if got == want:
+            continue
+        if want is None or got is not None and got[0] not in names:
+            return f"unexpected or repeated weight {got[0]!r}"
+        if got is None or got[0] != want[0]:
+            return f"weight {want[0]!r} is missing or out of order"
+        if got[1] != want[1]:
+            return f"weight {got[0]!r} has shape {tuple(got[1])}, expected {tuple(want[1])}"
+        return f"weight {got[0]!r} has offset, length, dtype {got[2:]}, expected {want[2:]}"
+
+
 def _read_checkpoint(fh, path) -> Checkpoint:
     header, start = _read_header(fh, path)
+    fields = {key: header[key] for key in _HEADER_KINDS if key != "manifest"}
+    ckpt = Checkpoint(**fields, weights={})
+    ckpt.vocab = tuple(ckpt.vocab)
+    try:
+        expected = _manifest(_expected_shapes(ckpt), _blob_dtype(ckpt.preset))
+    except ConfigError as exc:
+        raise CheckpointError(f"{path}: header describes no valid model: {exc}") from exc
+    if header["manifest"] != expected:
+        raise CheckpointShapeError(f"{path}: {_manifest_difference(header['manifest'], expected)}")
     blob_size = os.fstat(fh.fileno()).st_size - start
-    manifest = header["manifest"]
-    total = sum(entry[3] for entry in manifest)
+    total = sum(entry[3] for entry in expected)
     if total != blob_size:
         raise CheckpointTruncatedError(
             f"{path}: weight section holds {blob_size} bytes, manifest expects {total}"
         )
-    ckpt = Checkpoint(
-        preset=header["preset"],
-        use_case=header["use_case"],
-        max_len=header["max_len"],
-        vocab=tuple(header["vocab"]),
-        hyperparameters=header["hyperparameters"],
-        weights={},
-        history=header["history"],
-    )
-    try:
-        expected = _expected_shapes(ckpt)
-    except ConfigError as exc:
-        raise CheckpointError(f"{path}: header describes no valid model: {exc}") from exc
-    dtype = _blob_dtype(ckpt.preset)
-    for name, shape, offset, length, entry_dtype in manifest:
-        shape = tuple(shape)
-        if name not in expected or name in ckpt.weights:
-            raise CheckpointShapeError(f"{path}: unexpected or repeated weight {name!r}")
-        if shape != expected[name]:
-            raise CheckpointShapeError(
-                f"{path}: weight {name!r} has shape {shape}, expected {expected[name]}"
-            )
-        if entry_dtype != dtype:
-            raise CheckpointShapeError(
-                f"{path}: weight {name!r} stored as {entry_dtype}, expected {dtype}"
-            )
-        if length != math.prod(shape) * np.dtype(dtype).itemsize or offset + length > blob_size:
-            raise CheckpointTruncatedError(f"{path}: weight {name!r} blob out of bounds")
+    fh.seek(start)
+    for name, shape, _, length, dtype in expected:
         arr = np.empty(shape, dtype=dtype)
-        fh.seek(start + offset)
         if fh.readinto(arr) != length:
             raise CheckpointTruncatedError(f"{path}: weight {name!r} blob cut short")
         ckpt.weights[name] = arr
-    missing = set(expected) - set(ckpt.weights)
-    if missing:
-        raise CheckpointShapeError(f"{path}: missing weights {sorted(missing)}")
     weights = ckpt.weights.values()
     if ckpt.preset == "naive_bayes" and not all(np.isfinite(a).all() for a in weights):
         raise CheckpointError(f"{path}: naive_bayes tables hold NaN or Inf")

@@ -92,6 +92,11 @@ class TestWeights:
         code, _, err = run_cli(capsys, "weights", "--manifest", "dns:train", "--gamma", "1")
         assert code == 2 and "error" in err
 
+    def test_counts_beyond_float_range_are_data_error(self, capsys):
+        code, out, err = run_cli(capsys, "weights", "--counts", f"{10**310},1", "--gamma", "1")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
 
 class TestTrainEvaluatePredict:
     def test_evaluate_emits_parseable_metrics(self, capsys, toy_corpus):
@@ -180,7 +185,7 @@ class TestTrainEvaluatePredict:
         assert code == 2 and err.startswith("error:")
 
     @pytest.mark.parametrize("flag,value", [("--seed", "-1"), ("--eval-every", "-1"),
-                                            ("--max-len", "0")])
+                                            ("--max-len", "0"), ("--max-len", str(10**20))])
     def test_bad_train_value_is_usage_error(self, capsys, toy_corpus, tmp_path, flag, value):
         _, train_csv, _, _ = toy_corpus
         out_path = tmp_path / "x.ckpt"
@@ -273,6 +278,27 @@ class TestErrorsAndHelp:
         assert code == 1 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
         assert f"{bad}: line 3: field larger than field limit" in err
+
+    @pytest.mark.parametrize("max_len", [131_073, 10**20])
+    def test_header_max_len_past_the_limit_is_checkpoint_error(self, capsys, tmp_path, max_len):
+        # lstm shapes do not depend on max_len, so only the limit stops this one
+        fixture = Path(__file__).parent / "fixtures" / "dga_tiny_lstm.ckpt"
+        head, blob = fixture.read_bytes().split(b"\x00", 1)
+        header = dict(json.loads(head), max_len=max_len)
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(json.dumps(header).encode("utf-8") + b"\x00" + blob)
+        code, out, err = run_cli(capsys, "predict", "--model", str(bad), "--text", "a.com")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1 and "max_len" in err
+
+    def test_out_of_memory_is_one_error_line(self, capsys, monkeypatch):
+        def too_big(args):
+            raise MemoryError("Unable to allocate 8.00 TiB for an array")
+
+        monkeypatch.setitem(cli._COMMANDS, "predict", too_big)
+        code, out, err = run_cli(capsys, "predict", "--model", "m.ckpt", "--text", "a.com")
+        assert code == 1 and out == ""
+        assert err == "error: out of memory: Unable to allocate 8.00 TiB for an array\n"
 
     def test_bad_gamma_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "weights", "--counts", "5,5", "--gamma", "7")
@@ -515,3 +541,23 @@ def test_cli_import_leaves_gradcheck_unloaded():
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
     assert out.stdout.strip() == "False"
+
+
+def test_public_names_resolve_and_train_option_defaults_agree():
+    import inspect
+
+    import costnet
+    from costnet.data import load_csv
+
+    assert [name for name in costnet.__all__ if not hasattr(costnet, name)] == []
+    config = trainer.TrainConfig()
+    nb = inspect.signature(trainer.train_naive_bayes).parameters
+    fed = {
+        "preset": config.preset, "gamma": config.gamma, "epochs": config.epochs,
+        "lr": config.learning_rate, "batch_size": config.batch_size, "seed": config.seed,
+        "max_len": config.max_len, "raw_weights": not config.normalize_weights,
+        "eval_every": config.eval_every,
+        "use_case": inspect.signature(load_csv).parameters["use_case"].default,
+        "alpha": nb["alpha"].default, "ngrams": list(nb["n_range"].default),
+    }
+    assert {key: default for key, (default, _) in cli.TRAIN_OPTIONS.items()} == fed

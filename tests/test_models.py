@@ -63,6 +63,14 @@ class TestBuildModel:
         with pytest.raises(ConfigError):
             models.build_model("cnn", 40, 2, seed=0)
 
+    @pytest.mark.parametrize("preset", models.PRESETS)
+    def test_max_len_past_the_limit_refused(self, preset):
+        # model_spec only computes shapes, so no size here allocates anything
+        models.model_spec(preset, 40, models.MAX_LEN_LIMIT)
+        for max_len in (models.MAX_LEN_LIMIT + 1, 10**20):
+            with pytest.raises(ConfigError, match="max_len"):
+                models.model_spec(preset, 40, max_len)
+
     def test_same_seed_same_weights(self):
         _, a = models.build_model("cnn", 40, 30, seed=9)
         _, b = models.build_model("cnn", 40, 30, seed=9)

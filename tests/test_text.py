@@ -8,7 +8,6 @@ from costnet.text import (
     OOV_ID,
     PAD_ID,
     CharVocabulary,
-    encode,
     encode_batch,
     fit_vocab,
     ngram_counts,
@@ -17,10 +16,21 @@ from costnet.text import (
 texts = st.text(alphabet=st.characters(codec="ascii", categories=["L", "N", "P"]), max_size=30)
 
 
+def reference_ids(text, vocab, max_len):
+    """The id rule one character at a time: lowercase, cut, map (unknown -> OOV), pad."""
+    id_of = {c: i + 2 for i, c in enumerate(vocab.chars)}
+    ids = [id_of.get(c, OOV_ID) for c in text.lower()[:max_len]]
+    return ids + [PAD_ID] * (max_len - len(ids))
+
+
+def encode_one(text, vocab, max_len):
+    return encode_batch([text], vocab, max_len)[0].tolist()
+
+
 def test_fit_vocab_basic():
     vocab = fit_vocab(["ab", "bc"])
     assert vocab.size == 5
-    assert [vocab.id_for(c) for c in "abc"] == [2, 3, 4]
+    assert encode_one("abc", vocab, 3) == [2, 3, 4]
 
 
 def test_fit_vocab_lowercases():
@@ -39,28 +49,29 @@ def test_fit_vocab_empty_corpus():
 
 def test_encode_pads():
     vocab = fit_vocab(["ab", "bc"])
-    assert encode("abc", vocab, 5) == [2, 3, 4, PAD_ID, PAD_ID]
+    assert encode_one("abc", vocab, 5) == [2, 3, 4, PAD_ID, PAD_ID]
 
 
 def test_encode_prefix_truncates():
     vocab = fit_vocab(["abcdef"])
-    assert encode("abcdef", vocab, 3) == [encode("abcdef", vocab, 6)[i] for i in range(3)]
+    assert encode_one("abcdef", vocab, 3) == encode_one("abcdef", vocab, 6)[:3]
 
 
 def test_encode_unknown_char_is_oov():
     vocab = fit_vocab(["ab"])
-    assert encode("aXb", vocab, 4) == [2, OOV_ID, 3, PAD_ID]
+    assert encode_one("aXb", vocab, 4) == [2, OOV_ID, 3, PAD_ID]
 
 
 def test_encode_bad_max_len():
+    # an empty batch is refused the same way: max_len is checked before any text
     with pytest.raises(ConfigError):
-        encode("a", fit_vocab(["a"]), 0)
+        encode_batch([], fit_vocab(["a"]), -1)
 
 
 @given(text=texts.filter(lambda t: t))
 def test_encode_decode_identity_on_known_prefix(text):
     vocab = fit_vocab([text])
-    ids = encode(text, vocab, 10)
+    ids = encode_one(text, vocab, 10)
     decoded = "".join(vocab.chars[i - 2] for i in ids if i >= 2)
     assert decoded == text.lower()[:10]
 
@@ -69,7 +80,7 @@ def test_encode_batch_shapes():
     vocab = fit_vocab(["ab"])
     ids = encode_batch(["a", "abab"], vocab, 3)
     assert ids.shape == (2, 3) and ids.dtype == np.int64
-    assert ids.tolist() == [encode("a", vocab, 3), encode("abab", vocab, 3)]
+    assert ids.tolist() == [reference_ids("a", vocab, 3), reference_ids("abab", vocab, 3)]
     assert encode_batch([], vocab, 3).shape == (0, 3)
 
 
@@ -85,7 +96,7 @@ unicode_text = st.text(alphabet=st.characters(exclude_categories=()), max_size=2
 @example(batch=["ΑΣ", "ǅ\U0001F600İx", "\ud800a\x00"], chars=["ς", "σ", "x", "\x00", "\ud800"], max_len=3)
 def test_encode_batch_rows_are_encode_of_each_text(batch, chars, max_len):
     vocab = CharVocabulary(chars)
-    expected = [encode(t, vocab, max_len) for t in batch]
+    expected = [reference_ids(t, vocab, max_len) for t in batch]
     assert encode_batch(batch, vocab, max_len).tolist() == expected
 
 

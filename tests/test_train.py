@@ -550,6 +550,26 @@ class TestPersistence:
         assert report["precision"] > report["recall"]
 
 
+# checkpoints saved by an earlier version of costnet: cnn and lstm at scaled_dims, trained
+# on dga_tiny.csv (gamma 1, max_len 24, 2 epochs), and naive bayes; with the
+# probabilities that version gave these texts
+_SAVED_PROBABILITIES = {
+    "cnn": [0.4328072667121887, 0.4943998157978058, 0.5208806991577148],
+    "lstm": [0.49914678931236267, 0.5236455798149109, 0.5179261565208435],
+    "naive_bayes": [8.870981698866633e-09, 0.9985692206452961, 0.7969705725831095],
+}
+
+
+@pytest.mark.parametrize("preset", sorted(_SAVED_PROBABILITIES))
+def test_saved_fixture_loads_scores_and_resaves_byte_identical(tmp_path, preset):
+    path = Path(__file__).parent / "fixtures" / f"dga_tiny_{preset}.ckpt"
+    ckpt = train.load(path)
+    texts = ["maplecanyon.com", "xkqzvbwpt.net", "Zz9-unknown!"]
+    assert [train.predict_probability(ckpt, t) for t in texts] == _SAVED_PROBABILITIES[preset]
+    train.save(ckpt, tmp_path / "again.ckpt")
+    assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
+
+
 def _refuse_init(*args, **kwargs):
     raise AssertionError("weight init ran while rebuilding a checkpoint")
 

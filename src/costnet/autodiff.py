@@ -195,11 +195,18 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
+    """max(x, 0). Every zero of the output and of its gradient is +0.
+
+    So the zeros do not depend on the order of relu and ``maxpool1d``: both
+    orders give the same bits, forward and backward.
+    """
     out = np.maximum(x.data, 0)
     mask = x.data > 0
 
     def back(g):
-        return (g * mask,)
+        dx = g * mask
+        dx += 0  # a negative g times a closed unit is -0
+        return (dx,)
 
     return _emit(out, (x,), back)
 
@@ -479,21 +486,25 @@ def lstm(x: Tensor | Lookup, w_x: Tensor, w_h: Tensor, b: Tensor) -> Tensor:
     Only the recurrent term is sequential, so everything else runs over all
     steps at once, as in Appleyard et al. 2016, "Optimizing Performance of
     Recurrent Neural Networks on GPUs" (arXiv:1604.01946). The forward pass
-    works step-major: it projects the inputs of every step in one GEMM into
-    ``[steps, batch, 4h]``, so each step's slice is contiguous, and adds
-    ``h_{t-1} @ w_h`` and ``b`` in that order per step. While a tape records,
-    the gates (``[steps, 4, batch, hidden]``), ``tanh(c_t)`` and the states
-    ``c_t`` and ``h_t`` (``[steps(+1), batch, hidden]``) go into preallocated
-    arrays; otherwise only the current step is kept. The backward rule is
-    full BPTT: the reverse loop only fills the stacked gate gradients ``DZ``
-    (``[steps, batch, 4h]``) and carries ``dh = dz_t @ w_h^T`` and ``dc``.
+    works step-major: a tensor's inputs of every step are projected in one
+    GEMM into ``[steps, batch, 4h]``, so each step's slice is contiguous, and
+    each step adds ``h_{t-1} @ w_h`` and then ``b`` to its input slice. While
+    a tape records, the gates (``[steps, 4, batch, hidden]``), ``tanh(c_t)``
+    and the states ``c_t`` and ``h_t`` (``[steps(+1), batch, hidden]``) go
+    into preallocated arrays; otherwise only the current step is kept. The
+    backward rule is full BPTT: the reverse loop only fills the stacked gate
+    gradients ``DZ`` (``[steps, batch, 4h]``) and carries
+    ``dh = dz_t @ w_h^T`` and ``dc``.
     Then ``dw_x = X^T @ DZ``, ``dw_h = H_prev^T @ DZ``, ``db = sum(DZ)`` and
     ``dx = DZ @ w_x^T`` are one GEMM or one sum each over all steps.
 
     ``x`` is a [batch, len, dim] tensor or a ``Lookup`` of a [vocab, dim]
-    table E by [batch, len] ids. A lookup is folded into the input projection,
-    ``z_in = (E @ w_x)[ids^T]``, and the node records E as its input. Its
-    x-side backward is then ``dQ = onehot^T @ DZ``, ``dw_x = E^T @ dQ`` and
+    table E by [batch, len] ids. A lookup is folded into the input projection:
+    ``Q = E @ w_x`` is one ``[vocab, 4h]`` table, and step t reads its rows
+    ``Q[ids[:, t]]`` when it runs, with or without a tape, so no
+    ``[steps, batch, 4h]`` input block is built. An id past the table's rows
+    raises ``IndexError``. The node records E as its input. Its x-side
+    backward is ``dQ = onehot^T @ DZ``, ``dw_x = E^T @ dQ`` and
     ``dE = dQ @ w_x^T`` with the pad row zeroed, all over ``vocab`` rows; the
     recurrent loop is the same for both inputs.
     """
@@ -516,8 +527,8 @@ def lstm(x: Tensor | Lookup, w_x: Tensor, w_h: Tensor, b: Tensor) -> Tensor:
         )
     if folded:
         inputs = (table, w_x, w_h, b)
-        step_ids = ids.T  # [steps, batch], as z_in is laid out
-        z_in = (table.data @ w_x.data)[step_ids]
+        step_ids = ids.T  # [steps, batch]
+        z_tab = table.data @ w_x.data
     else:
         inputs = (x, w_x, w_h, b)
         xs = np.ascontiguousarray(x.data.transpose(1, 0, 2)).reshape(steps * batch, dim)
@@ -539,7 +550,8 @@ def lstm(x: Tensor | Lookup, w_x: Tensor, w_h: Tensor, b: Tensor) -> Tensor:
     with np.errstate(over="ignore"):
         for t in range(steps):
             s = t if track else 0
-            np.add(z_in[t], hs[s] @ w_h.data, out=z)
+            x_t = z_tab[step_ids[t]] if folded else z_in[t]
+            np.add(x_t, hs[s] @ w_h.data, out=z)
             z += b.data
             i, f, cand, o = gates[s]
             _logistic(z_gates[:2], out=gates[s, :2])  # i and f

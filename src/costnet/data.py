@@ -293,10 +293,3 @@ def save_csv(dataset: LabeledDataset, path) -> None:
         writer.writerow(["text", "label"])
         for text, label in zip(dataset.texts, dataset.labels):
             writer.writerow([text, label])
-
-
-def check_disjoint(a: LabeledDataset, b: LabeledDataset) -> None:
-    overlap = set(a.texts) & set(b.texts)
-    if overlap:
-        sample = sorted(overlap)[:3]
-        raise DataError(f"splits share {len(overlap)} texts, e.g. {sample}")

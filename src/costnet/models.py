@@ -6,10 +6,14 @@ that logit for training and its sigmoid, the probability, for inference:
 
   dnn       flatten, then 512/384/256/128 relu layers with dropout 0.01 and
             batch normalization between the hidden layers
-  cnn       64 conv filters of length 3, maxpool 2, dense 128 + relu,
+  cnn       64 conv filters of length 3, maxpool 2, relu, dense 128 + relu,
             dropout 0.3
   lstm      128 recurrent units, last state only, dropout 0.3
   cnn_lstm  the cnn front-end feeding a 50-unit recurrence
+
+In the cnn front-end the relu follows the maxpool. relu is monotone, so this
+gives the bits of relu-then-maxpool, forward and backward, with half the
+relu work.
 
 The table ``_KINDS`` is the one place that defines a layer kind: its
 hyperparameter check, output shape, arrays and forward op. ``LayerSpec``,
@@ -22,7 +26,8 @@ and ``ad.lstm`` (lstm) fold it into their first linear map, gathering rows of a
 the lookup on, and its first dense layer's ``ad.matmul`` is the one place that
 gathers the table's rows: only up to the last position any row fills, since
 the zero pad row adds nothing. Each of them differentiates the table directly.
-cnn_lstm's lstm reads maxpool output, a tensor; the input alone decides this.
+cnn_lstm's lstm reads the front-end's output, a tensor; the input alone
+decides this.
 
 Weight init is uniform Glorot; the recurrent forget-gate bias starts at 1,
 the embedding pad row starts (and stays) at zero. ``parameter_table`` lists
@@ -252,8 +257,8 @@ def _preset_layers(preset: str, dims: PresetDims) -> tuple[LayerSpec, ...]:
         return (
             emb,
             LayerSpec("conv1d", filters=dims.conv_filters, kernel=dims.conv_kernel),
-            LayerSpec("relu"),
             LayerSpec("maxpool1d", pool=dims.pool),
+            LayerSpec("relu"),
             LayerSpec("flatten"),
             LayerSpec("dense", units=dims.cnn_dense),
             LayerSpec("relu"),
@@ -269,8 +274,8 @@ def _preset_layers(preset: str, dims: PresetDims) -> tuple[LayerSpec, ...]:
         return (
             emb,
             LayerSpec("conv1d", filters=dims.conv_filters, kernel=dims.conv_kernel),
-            LayerSpec("relu"),
             LayerSpec("maxpool1d", pool=dims.pool),
+            LayerSpec("relu"),
             LayerSpec("lstm", units=dims.cnn_lstm_units),
         ) + head
     raise ConfigError(f"unknown preset {preset!r}, expected one of {PRESETS}")

@@ -58,6 +58,10 @@ FORMAT_VERSION = 1
 # most rows in one scoring chunk: few enough that a few hundred rows split
 # into chunks for two cores, enough that per-op Python cost stays small
 _EVAL_BATCH = 256
+# fewest rows in a chunk that a batch is split into for a second core: on two
+# threads, two chunks of 100 rows score faster than one of 200 for every
+# preset, but at 128 rows the cnn_lstm is slower split than whole
+_MIN_CHUNK = 100
 
 
 @dataclass
@@ -367,16 +371,19 @@ def _blas_threads() -> int | None:
 
 
 def _forward_all(spec, params, ids) -> np.ndarray:
-    """Infer-mode probabilities of every row, in balanced chunks of at most ``_EVAL_BATCH`` rows.
+    """Infer-mode probabilities of every row, in balanced chunks.
 
-    The chunk bounds depend on the row count alone, so a row's probability does
-    not depend on the thread that scores it. Threads take chunks in turn: one
-    per usable CPU when there are several chunks and CPUs and numpy's OpenBLAS
-    reports one thread, else the calling thread alone. A chunk's error is
-    raised here, never through ``threading.excepthook``.
+    A batch is split into ``ceil(n / _EVAL_BATCH)`` chunks, and into two when
+    it holds at least two chunks of ``_MIN_CHUNK`` rows, so batches of 200 to
+    256 rows use a second core too. The chunk bounds depend on the row count
+    alone, so a row's probability does not depend on the thread that scores
+    it. Threads take chunks in turn: one per usable CPU when there are several
+    chunks and CPUs and numpy's OpenBLAS reports one thread, else the calling
+    thread alone. A chunk's error is raised here, never through
+    ``threading.excepthook``.
     """
     n = len(ids)
-    count = max(1, -(-n // _EVAL_BATCH))
+    count = max(1, -(-n // _EVAL_BATCH), min(2, n // _MIN_CHUNK))
     bounds = [i * n // count for i in range(count + 1)]
     workers = min(_usable_cpus(), count) if count > 1 else 1
     if workers > 1 and _blas_threads() != 1:
@@ -417,10 +424,12 @@ def predict_probabilities(ckpt: Checkpoint, texts) -> np.ndarray:
     weight init, the texts are encoded once, and a warning is logged when
     most of their characters are out of the model's vocabulary.
 
-    Neural scoring runs in chunks of at most ``_EVAL_BATCH`` rows, on one
-    thread per usable CPU when there are several chunks and CPUs and numpy's
-    OpenBLAS reports one thread (``OPENBLAS_NUM_THREADS=1``), else one chunk
-    after another. Either way each probability is the same.
+    Neural scoring runs in chunks of at most ``_EVAL_BATCH`` rows, and of
+    about half the batch when it holds 200 to 256 rows (see
+    ``_forward_all``), on one thread per usable CPU when there are several
+    chunks and CPUs and numpy's OpenBLAS reports one thread
+    (``OPENBLAS_NUM_THREADS=1``), else one chunk after another. Either way
+    each probability is the same.
     """
     texts = list(texts)
     if not texts:

@@ -1,10 +1,12 @@
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from costnet import autodiff as ad
 from costnet.errors import ConfigError, ContractError, DataError, ShapeError
@@ -149,6 +151,50 @@ class TestMaxpool:
         assert out.data.dtype == dx.dtype == dtype
         assert out.data.tobytes() == want.tobytes()
         assert dx.tobytes() == want_dx.tobytes()
+
+
+def _through(ops, x, g):
+    """Output and input gradient of ``ops`` applied in turn to ``x``, for output weights ``g``."""
+    x = ad.Tensor(x, requires_grad=True)
+    with ad.Tape() as tape:
+        out = x
+        for op in ops:
+            out = op(out)
+        loss = ad.tsum(ad.mul(out, ad.Tensor(g)))
+    return out.data, tape.gradients(loss)[x]
+
+
+_EDGE_VALUES = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0]) | st.floats(-8, 8, width=32)
+
+
+@st.composite
+def _pool_cases(draw):
+    """A pool length, an input of at least that many steps, and weights for maxpool's output."""
+    pool = draw(st.integers(1, 4))
+    batch, length, ch = draw(st.integers(1, 2)), draw(st.integers(pool, 13)), draw(st.integers(1, 3))
+    x = draw(hnp.arrays(np.float32, (batch, length, ch), elements=_EDGE_VALUES))
+    g = draw(hnp.arrays(np.float32, (batch, length // pool, ch), elements=_EDGE_VALUES))
+    return pool, x, g
+
+
+def _column(*values):
+    return np.array(values, dtype=np.float32).reshape(1, -1, 1)
+
+
+class TestReluMaxpoolOrder:
+    @settings(max_examples=200, deadline=None)
+    @given(case=_pool_cases())
+    # odd lengths: an all-negative window, ties at +-0 and above 0, a dropped tail
+    @example(case=(2, _column(-1.0, -2.0, -0.0, 0.0, 3.0, 3.0, 5.0), _column(-1.5, -0.0, 2.0)))
+    @example(case=(
+        3, _column(-0.0, -0.0, -3.0, 0.0, -0.0, 0.0, 2.0, 2.0, -1.0, 4.0), _column(-1.0, -2.0, -0.0),
+    ))
+    def test_relu_then_maxpool_equals_maxpool_then_relu_bit_for_bit(self, case):
+        pool, x, g = case
+        relu_first = _through([ad.relu, lambda h: ad.maxpool1d(h, pool)], x, g)
+        pool_first = _through([lambda h: ad.maxpool1d(h, pool), ad.relu], x, g)
+        for got, want in zip(pool_first, relu_first):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestElementwise:
@@ -847,6 +893,32 @@ class TestEmbeddingFold:
         folded = tape._nodes[0]
         assert folded.inputs[0].shape == arrays[0].shape
         assert folded.backward_fn(np.ones(folded.output.shape))[0] is None
+
+    def test_folded_lstm_holds_no_input_block(self):
+        # numpy reports its buffers to tracemalloc
+        rng = np.random.default_rng(4)
+        batch, steps, vocab, dim, hidden = 64, 400, 40, 8, 16
+        table, w_x, w_h = (
+            ad.Tensor((rng.standard_normal(shape) * 0.3).astype(np.float32))
+            for shape in [(vocab, dim), (dim, 4 * hidden), (hidden, 4 * hidden)]
+        )
+        b = ad.Tensor(np.zeros(4 * hidden, dtype=np.float32))
+        lookup = ad.embedding(table, rng.integers(0, vocab, size=(batch, steps)))
+        tracemalloc.start()
+        try:
+            ad.lstm(lookup, w_x, w_h, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < steps * batch * 4 * hidden * 4  # one [steps, batch, 4h] float32 block
+
+    @pytest.mark.parametrize("record", [False, True], ids=["infer", "tape"])
+    def test_folded_lstm_refuses_ids_past_a_hand_built_lookups_table(self, record):
+        arrays, ids = fold_inputs(ad.lstm, np.float32)
+        table, *weights = (ad.Tensor(a, requires_grad=record) for a in arrays)
+        ids[2, 5] = table.shape[0]
+        with ad.Tape(), pytest.raises(IndexError):
+            ad.lstm(ad.Lookup(table, ids, 0), *weights)
 
     @pytest.mark.parametrize("op", FOLDED_OPS, ids=["conv1d", "lstm"])
     def test_infer_output_equals_tape_output(self, op):

@@ -11,7 +11,6 @@ from costnet.data import (
     SOURCE_CORPUS_COUNTS,
     GeneratorConfig,
     LabeledDataset,
-    check_disjoint,
     class_counts,
     gen_synthetic,
     load_csv,
@@ -20,6 +19,13 @@ from costnet.data import (
 from costnet.errors import ConfigError, DataError, ParseError
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def check_disjoint(a: LabeledDataset, b: LabeledDataset) -> None:
+    overlap = set(a.texts) & set(b.texts)
+    if overlap:
+        sample = sorted(overlap)[:3]
+        raise DataError(f"splits share {len(overlap)} texts, e.g. {sample}")
 
 
 class TestManifest:

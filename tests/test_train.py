@@ -660,17 +660,40 @@ class TestThreadedScoring:
         self, saved_presets, monkeypatch, many, preset
     ):
         ckpt, _ = saved_presets[preset]
-        _scoring_threads(monkeypatch, 2, 1)
-        threaded = train.predict_probabilities(ckpt, many.texts)
-        _scoring_threads(monkeypatch, 2, None)
-        serial = train.predict_probabilities(ckpt, many.texts)
-        assert threaded.shape == (len(many),)
-        assert threaded.tobytes() == serial.tobytes()
+        for texts in (many.texts, many.texts[:200]):  # three chunks of 200, two of 100
+            _scoring_threads(monkeypatch, 2, 1)
+            threaded = train.predict_probabilities(ckpt, texts)
+            _scoring_threads(monkeypatch, 2, None)
+            serial = train.predict_probabilities(ckpt, texts)
+            assert threaded.shape == (len(texts),)
+            assert threaded.tobytes() == serial.tobytes()
+
+    @pytest.mark.parametrize("rows, bounds", [
+        (1, [0, 1]),
+        (199, [0, 199]),
+        (200, [0, 100, 200]),  # two chunks of _MIN_CHUNK rows
+        (256, [0, 128, 256]),
+        (257, [0, 128, 257]),
+        (512, [0, 256, 512]),
+        (513, [0, 171, 342, 513]),
+    ])
+    def test_chunk_bounds_follow_the_row_count(self, monkeypatch, rows, bounds):
+        _scoring_threads(monkeypatch, 1, 1)
+        seen = []
+
+        def record_rows(spec, params, chunk, mode):
+            seen.append((int(chunk[0, 0]), int(chunk[-1, 0]) + 1))
+            return ad.Tensor(np.zeros(len(chunk), dtype=np.float32))
+
+        monkeypatch.setattr(models, "forward", record_rows)
+        probs = train._forward_all(None, None, np.arange(rows).reshape(rows, 1))
+        assert probs.shape == (rows,)
+        assert seen == list(zip(bounds, bounds[1:]))
 
     def test_chunks_run_at_once_when_blas_runs_one_thread(self, saved_presets, monkeypatch, many):
         ckpt, _ = saved_presets["cnn"]
         _scoring_threads(monkeypatch, 2, 1)
-        # two chunks; each waits until the other is in flight too
+        # two chunks each time; each waits until the other is in flight too
         meet = threading.Barrier(2, timeout=30)
         forward = models.forward
 
@@ -679,7 +702,8 @@ class TestThreadedScoring:
             return forward(*args, **kwargs)
 
         monkeypatch.setattr(models, "forward", meeting)
-        assert train.predict_probabilities(ckpt, many.texts[:300]).shape == (300,)
+        for rows in (300, 200):
+            assert train.predict_probabilities(ckpt, many.texts[:rows]).shape == (rows,)
 
     def test_many_threads_score_every_chunk_once(self, saved_presets, monkeypatch, many):
         # more threads than cores, a thread switch every microsecond, 3-row chunks
@@ -714,7 +738,7 @@ class TestThreadedScoring:
         (1, 1, 600),  # one usable CPU
         (2, 2, 600),  # BLAS runs threads of its own
         (2, None, 600),  # BLAS thread count unknown
-        (2, 1, 256),  # one chunk
+        (2, 1, 199),  # one chunk
     ])
     def test_scores_on_the_calling_thread_otherwise(
         self, saved_presets, monkeypatch, many, cpus, blas, rows
@@ -796,7 +820,7 @@ trainer.save(ckpt, sys.argv[1])
 """
 
 
-# cnn_lstm keeps its default widths. Its recurrent layer reads maxpool output,
+# cnn_lstm keeps its default widths. Its recurrent layer reads relu output,
 # so it trains the general lstm path, whose input projection over all 19 steps
 # (1216 x 64 by 64 x 200 at batch 64) passes that threshold, as do the folded
 # conv's GEMMs.

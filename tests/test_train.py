@@ -1,9 +1,11 @@
 import dataclasses
 import logging
 import os
+import signal
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -749,8 +751,62 @@ class TestThreadedScoring:
         def refuse(*args, **kwargs):
             raise AssertionError("scoring started a thread")
 
+        forward, scorers = models.forward, set()
+
+        def recording(*args, **kwargs):
+            scorers.add(threading.get_ident())
+            return forward(*args, **kwargs)
+
         monkeypatch.setattr(threading, "Thread", refuse)
+        monkeypatch.setattr(models, "forward", recording)
         assert train.predict_probabilities(ckpt, many.texts[:rows]).shape == (rows,)
+        # a scoring thread kept from an earlier call is not used either
+        assert scorers == {threading.get_ident()}
+
+    def test_each_chunk_set_keeps_its_thread_from_call_to_call(self, monkeypatch):
+        _scoring_threads(monkeypatch, 2, 1)
+        seen = []
+
+        def record_thread(spec, params, chunk, mode):
+            seen.append((int(chunk[0, 0]), threading.get_ident()))
+            return ad.Tensor(np.zeros(len(chunk), dtype=np.float32))
+
+        monkeypatch.setattr(models, "forward", record_thread)
+        calls = []
+        for _ in range(3):
+            seen.clear()
+            assert train._forward_all(None, None, np.arange(600).reshape(600, 1)).shape == (600,)
+            calls.append(dict(seen))
+        caller = threading.get_ident()
+        assert calls[0][0] == calls[0][400] == caller  # chunks 0 and 2
+        assert calls[0][200] != caller  # chunk 1
+        assert calls[1] == calls[2] == calls[0]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_scores_on_threads_of_its_own(self, monkeypatch):
+        _scoring_threads(monkeypatch, 2, 1)
+        monkeypatch.setattr(
+            models, "forward", lambda spec, params, chunk, mode: ad.Tensor(np.zeros(len(chunk), dtype=np.float32))
+        )
+        ids = np.arange(200).reshape(200, 1)
+        train._forward_all(None, None, ids)  # the parent's scoring thread now exists
+        pid = os.fork()
+        if pid == 0:  # the child never returns into pytest
+            code = 1
+            try:
+                code = 0 if train._forward_all(None, None, ids).shape == (200,) else 1
+            finally:
+                os._exit(code)
+        for _ in range(300):
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            time.sleep(0.1)
+        else:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's scoring did not finish within 30 s")
+        assert os.waitstatus_to_exitcode(status) == 0
 
     def test_a_worker_threads_error_reaches_the_caller(self, saved_presets, monkeypatch, many):
         ckpt, _ = saved_presets["cnn"]
@@ -774,6 +830,52 @@ class TestThreadedScoring:
         captured = capsys.readouterr()
         assert code == 1 and captured.out == "" and hooked == []
         assert captured.err.splitlines() == ["error: chunk went bad"]
+
+
+def _glibc_mallinfo2():
+    """glibc's ``mallinfo2`` through a handle of its own, or None before glibc 2.33 or off glibc."""
+    if train._glibc() is None:
+        return None
+    import ctypes
+
+    fn = getattr(ctypes.CDLL(None), "mallinfo2", None)
+    if fn is None:
+        return None
+
+    class MallInfo2(ctypes.Structure):
+        _fields_ = [(name, ctypes.c_size_t) for name in (
+            "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks", "uordblks", "fordblks", "keepcost",
+        )]
+
+    fn.restype = MallInfo2
+    return fn
+
+
+@pytest.mark.skipif(_glibc_mallinfo2() is None, reason="needs glibc 2.33 or later")
+def test_mmap_threshold_stays_pinned_after_a_large_block_is_freed():
+    mallinfo2 = _glibc_mallinfo2()
+    # glibc's own rule would lift its mmap threshold to 30 MiB on this free
+    block = np.ones(30 << 20, dtype=np.uint8)
+    del block
+    before = mallinfo2().hblkhd
+    block = np.ones(20 << 20, dtype=np.uint8)
+    mapped = mallinfo2().hblkhd - before
+    del block
+    assert train._MMAP_THRESHOLD <= 20 << 20 <= mapped
+
+
+def test_training_first_hands_free_heap_pages_back(monkeypatch):
+    events = []
+    monkeypatch.setattr(train, "_release_free_heap", lambda: events.append("release"))
+    build = models.build_model
+
+    def building(*args, **kwargs):
+        events.append("build")
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(models, "build_model", building)
+    train.train(small_dga(), tiny_config(epochs=1))
+    assert events == ["release", "build"]
 
 
 @pytest.mark.parametrize("preset", models.PRESETS)

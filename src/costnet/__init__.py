@@ -10,7 +10,7 @@ from .autodiff import Tape, Tensor, grad_check
 from .data import GeneratorConfig, LabeledDataset, class_counts, gen_synthetic, load_csv
 from .loss import ClassWeights, compute_class_weights, weighted_bce
 from .metrics import ConfusionMatrix, confusion, scores
-from .models import ModelSpec, Parameters, PresetDims, build_model, forward
+from .models import ModelSpec, PresetDims, build_model, forward
 from .naive_bayes import NaiveBayesModel, nb_train
 from .text import CharVocabulary, fit_vocab, ngram_counts
 from .trainer import Checkpoint, TrainConfig, evaluate, load, save, train
@@ -33,7 +33,6 @@ __all__ = [
     "confusion",
     "scores",
     "ModelSpec",
-    "Parameters",
     "PresetDims",
     "build_model",
     "forward",

@@ -17,8 +17,9 @@ checking. All op outputs are validated to be finite, so a diverging training
 run fails loudly instead of silently poisoning weights with NaN.
 
 Thread model: tensors are treated as immutable values (only the optimizer
-mutates parameter data, single-threaded); one tape belongs to one thread, and
-ops run in another thread record nothing on it.
+mutates parameter data, and batchnorm's train mode its running statistics,
+both single-threaded); one tape belongs to one thread, and ops run in another
+thread record nothing on it.
 """
 
 from __future__ import annotations

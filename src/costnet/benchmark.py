@@ -15,10 +15,16 @@ from statistics import median
 from .data import GeneratorConfig, gen_synthetic
 from .trainer import TrainConfig, evaluate, train
 
+# the corpus and batching every benchmark run uses
+_USE_CASE = "dga"
+_BATCH_SIZE = 64
+_LEGIT_RANGE = (1, 2)
+_MALICIOUS_RANGE = (5, 9)
+_DATA_SEED = 1234
+
 
 @dataclass(frozen=True)
 class BenchmarkSettings:
-    use_case: str = "dga"
     n_legit_train: int = 10_000
     n_malicious_train: int = 500
     n_test_per_class: int = 1_000
@@ -30,11 +36,7 @@ class BenchmarkSettings:
     # no recall headroom to measure; 5e-4 keeps both runs in the honest
     # underfit regime where the weighting has something to do
     learning_rate: float = 0.0005
-    batch_size: int = 64
     max_len: int = 40
-    legit_range: tuple[int, int] = (1, 2)
-    malicious_range: tuple[int, int] = (5, 9)
-    data_seed: int = 1234
 
 
 def run_benchmark(settings: BenchmarkSettings | None = None) -> dict:
@@ -42,16 +44,16 @@ def run_benchmark(settings: BenchmarkSettings | None = None) -> dict:
     s = settings or BenchmarkSettings()
     train_ds = gen_synthetic(
         GeneratorConfig(
-            s.use_case, s.n_legit_train, s.n_malicious_train,
-            seed=s.data_seed, split="train",
-            legit_range=s.legit_range, malicious_range=s.malicious_range,
+            _USE_CASE, s.n_legit_train, s.n_malicious_train,
+            seed=_DATA_SEED, split="train",
+            legit_range=_LEGIT_RANGE, malicious_range=_MALICIOUS_RANGE,
         )
     )
     test_ds = gen_synthetic(
         GeneratorConfig(
-            s.use_case, s.n_test_per_class, s.n_test_per_class,
-            seed=s.data_seed + 1, split="test",
-            legit_range=s.legit_range, malicious_range=s.malicious_range,
+            _USE_CASE, s.n_test_per_class, s.n_test_per_class,
+            seed=_DATA_SEED + 1, split="test",
+            legit_range=_LEGIT_RANGE, malicious_range=_MALICIOUS_RANGE,
         )
     )
     runs = []
@@ -61,7 +63,7 @@ def run_benchmark(settings: BenchmarkSettings | None = None) -> dict:
             cfg = TrainConfig(
                 learning_rate=s.learning_rate,
                 epochs=s.epochs,
-                batch_size=s.batch_size,
+                batch_size=_BATCH_SIZE,
                 gamma=gamma,
                 seed=seed,
                 preset=s.preset,

@@ -132,11 +132,11 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_weights(args) -> int:
-    if args.train:
+    if args.train is not None:
         from .data import class_counts
 
         counts = class_counts(load_csv(args.train))
-    elif args.counts:
+    elif args.counts is not None:
         counts = list(args.counts)
     else:
         try:
@@ -162,7 +162,7 @@ def _cmd_weights(args) -> int:
 def _merge_train_options(args) -> dict:
     """Defaults, overridden by the --config file, then by flags; each value checked for its kind."""
     merged = {key: default for key, (default, _) in TRAIN_OPTIONS.items()}
-    if args.config:
+    if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as fh:
             try:
                 file_cfg = json.load(fh)

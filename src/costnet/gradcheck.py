@@ -157,17 +157,17 @@ def _check_preset(preset: str) -> float:
     ids = rng.integers(2, 13, size=(3, 8))  # pad-free: the pad row is frozen
     labels = np.array([0, 1, 1])
     w = compute_class_weights([2, 1], gamma=1.0)
-    names = sorted(params.tensors)
+    names = sorted(name for name, t in params.items() if t.requires_grad)
 
     def f(*leaves):
         for name, leaf in zip(names, leaves):
-            params.tensors[name] = leaf
+            params[name] = leaf
         logits = models.forward(
             spec, params, ids, mode="train", rng=np.random.default_rng(7)
         )
         return weighted_bce(logits, labels, w)
 
-    return ad.grad_check(f, [params.tensors[n] for n in names])
+    return ad.grad_check(f, [params[n] for n in names])
 
 
 _OP_CHECKS = {

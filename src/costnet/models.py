@@ -96,28 +96,25 @@ class ModelSpec:
     preset: str
 
 
-@dataclass
-class Parameters:
-    """Trainable tensors plus non-trainable buffers, both keyed by layer path."""
-
-    tensors: dict[str, ad.Tensor]
-    buffers: dict[str, np.ndarray]
-
-
 @dataclass(frozen=True)
 class ParamEntry:
     """One named array of a model: its shape and how it starts.
 
     ``init`` is one of ``glorot`` (uniform over +-sqrt(6 / (fan_in + fan_out))),
     ``embedding`` (glorot with the PAD row zeroed), ``zeros``, ``ones`` or
-    ``forget_bias`` (zeros with the forget-gate quarter at 1). Buffers are
-    not trained.
+    ``forget_bias`` (zeros with the forget-gate quarter at 1). The fans come
+    from the shape alone, as in Glorot & Bengio (2010): the last axis holds
+    the outputs, the next-to-last the inputs, and any leading axes (a conv
+    kernel's taps) multiply both, so fan_in = prod(shape[:-1]) and fan_out =
+    prod(shape[:-2]) * shape[-1].
+
+    A buffer is a tensor with ``requires_grad=False``: it is not trained, and
+    only batchnorm's train mode changes it, in place.
     """
 
     name: str
     shape: tuple[int, ...]
     init: str
-    fans: tuple[int, int] = (0, 0)
     buffer: bool = False
 
 
@@ -132,9 +129,9 @@ class _Kind(NamedTuple):
     output shape, raising ``ConfigError`` where the chain does not fit;
     ``arrays(layer, in_shape, vocab_size)`` lists the layer's parameters and
     buffers, named by suffix, in init draw order; ``apply(layer, h, get, run)``
-    is the forward op, with ``get(suffix)`` giving one of those arrays. It calls
-    ops as ``ad.<op>`` at call time, so a replaced module attribute (a tracer's
-    wrapper) takes effect.
+    is the forward op, with ``get(suffix)`` giving the tensor of one of those
+    arrays. It calls ops as ``ad.<op>`` at call time, so a replaced module
+    attribute (a tracer's wrapper) takes effect.
     """
 
     apply: Callable
@@ -176,7 +173,7 @@ _KINDS: dict[str, _Kind] = {
         valid=lambda layer: layer.dim > 0,
         out=_embedding_out,
         arrays=lambda layer, shape, vocab_size: (
-            ParamEntry("table", (vocab_size, layer.dim), "embedding", (vocab_size, layer.dim)),
+            ParamEntry("table", (vocab_size, layer.dim), "embedding"),
         ),
         apply=lambda layer, h, get, run: ad.embedding(get("table"), run.ids, pad_id=PAD_ID),
     ),
@@ -184,7 +181,7 @@ _KINDS: dict[str, _Kind] = {
         valid=lambda layer: layer.units > 0,
         out=lambda layer, shape: (layer.units,),
         arrays=lambda layer, shape, vocab_size: (
-            ParamEntry("w", (shape[-1], layer.units), "glorot", (shape[-1], layer.units)),
+            ParamEntry("w", (shape[-1], layer.units), "glorot"),
             ParamEntry("b", (layer.units,), "zeros"),
         ),
         apply=lambda layer, h, get, run: ad.add(ad.matmul(h, get("w")), get("b")),
@@ -193,10 +190,7 @@ _KINDS: dict[str, _Kind] = {
         valid=lambda layer: layer.filters > 0 and layer.kernel > 0,
         out=_conv1d_out,
         arrays=lambda layer, shape, vocab_size: (
-            ParamEntry(
-                "kernels", (layer.kernel, shape[-1], layer.filters), "glorot",
-                (layer.kernel * shape[-1], layer.kernel * layer.filters),
-            ),
+            ParamEntry("kernels", (layer.kernel, shape[-1], layer.filters), "glorot"),
             ParamEntry("bias", (layer.filters,), "zeros"),
         ),
         apply=lambda layer, h, get, run: ad.conv1d_valid(h, get("kernels"), get("bias")),
@@ -210,8 +204,8 @@ _KINDS: dict[str, _Kind] = {
         valid=lambda layer: layer.units > 0,
         out=lambda layer, shape: (layer.units,),
         arrays=lambda layer, shape, vocab_size: (
-            ParamEntry("w_x", (shape[-1], 4 * layer.units), "glorot", (shape[-1], 4 * layer.units)),
-            ParamEntry("w_h", (layer.units, 4 * layer.units), "glorot", (layer.units, 4 * layer.units)),
+            ParamEntry("w_x", (shape[-1], 4 * layer.units), "glorot"),
+            ParamEntry("w_h", (layer.units, 4 * layer.units), "glorot"),
             ParamEntry("b", (4 * layer.units,), "forget_bias"),
         ),
         apply=lambda layer, h, get, run: ad.lstm(h, get("w_x"), get("w_h"), get("b")),
@@ -224,7 +218,7 @@ _KINDS: dict[str, _Kind] = {
             ParamEntry("running_var", shape[-1:], "ones", buffer=True),
         ),
         apply=lambda layer, h, get, run: ad.batchnorm(
-            h, get("scale"), get("shift"), get("running_mean"), get("running_var"),
+            h, get("scale"), get("shift"), get("running_mean").data, get("running_var").data,
             training=run.training,
         ),
     ),
@@ -316,14 +310,16 @@ def parameter_table(spec: ModelSpec) -> tuple[ParamEntry, ...]:
     return tuple(entries)
 
 
-def _glorot(rng: np.random.Generator, shape, fan_in: int, fan_out: int, dtype) -> np.ndarray:
+def _glorot(rng: np.random.Generator, shape: tuple[int, ...], dtype) -> np.ndarray:
+    fan_in = math.prod(shape[:-1])
+    fan_out = math.prod(shape[:-2]) * shape[-1]
     bound = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=shape).astype(dtype)
 
 
 def _initial_value(entry: ParamEntry, rng: np.random.Generator, dtype) -> np.ndarray:
     if entry.init in ("glorot", "embedding"):
-        arr = _glorot(rng, entry.shape, *entry.fans, dtype)
+        arr = _glorot(rng, entry.shape, dtype)
         if entry.init == "embedding":
             arr[PAD_ID] = 0.0
         return arr
@@ -334,16 +330,15 @@ def _initial_value(entry: ParamEntry, rng: np.random.Generator, dtype) -> np.nda
     return arr
 
 
-def assemble_parameters(spec: ModelSpec, arrays) -> Parameters:
-    """Wrap one array per ``parameter_table`` entry, uncopied, as a model's parameters."""
-    tensors: dict[str, ad.Tensor] = {}
-    buffers: dict[str, np.ndarray] = {}
-    for entry in parameter_table(spec):
-        if entry.buffer:
-            buffers[entry.name] = arrays[entry.name]
-        else:
-            tensors[entry.name] = ad.Tensor(arrays[entry.name], requires_grad=True)
-    return Parameters(tensors=tensors, buffers=buffers)
+def assemble_parameters(spec: ModelSpec, arrays) -> dict[str, ad.Tensor]:
+    """Wrap one array per ``parameter_table`` entry, uncopied, as a model's tensors.
+
+    Keyed by layer path; every tensor but a buffer's requires a gradient.
+    """
+    return {
+        entry.name: ad.Tensor(arrays[entry.name], requires_grad=not entry.buffer)
+        for entry in parameter_table(spec)
+    }
 
 
 def build_model(
@@ -353,7 +348,7 @@ def build_model(
     seed: int,
     dims: PresetDims | None = None,
     dtype=ad.DEFAULT_DTYPE,
-) -> tuple[ModelSpec, Parameters]:
+) -> tuple[ModelSpec, dict[str, ad.Tensor]]:
     """Assemble a preset and initialize its weights from the given seed."""
     spec = model_spec(preset, vocab_size, max_len, dims)
     rng = np.random.default_rng(seed)
@@ -363,7 +358,7 @@ def build_model(
 
 def forward(
     spec: ModelSpec,
-    params: Parameters,
+    params: dict[str, ad.Tensor],
     ids: np.ndarray,
     mode: str = "infer",
     rng: np.random.Generator | None = None,
@@ -386,11 +381,10 @@ def forward(
             f"[{ids.min()}, {ids.max()}]"
         )
     run = _Run(ids, mode == "train", rng)
-    arrays = {**params.tensors, **params.buffers}
     h: ad.Tensor | None = None
     for idx, layer in enumerate(spec.layers):
         name = f"{idx:02d}.{layer.kind}"
-        h = _KINDS[layer.kind].apply(layer, h, lambda suffix: arrays[f"{name}.{suffix}"], run)
+        h = _KINDS[layer.kind].apply(layer, h, lambda suffix: params[f"{name}.{suffix}"], run)
     logit = ad.reshape(h, (ids.shape[0],))
     return logit if run.training else ad.sigmoid(logit)
 

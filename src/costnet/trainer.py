@@ -312,6 +312,7 @@ def train(
     spec, params = models.build_model(
         config.preset, vocab.size, max_len, config.seed, dims=config.dims
     )
+    trainable = {name: t for name, t in params.items() if t.requires_grad}
     ids = encode_batch(dataset.texts, vocab, max_len)
     labels = np.asarray(dataset.labels, dtype=np.int64)
     state = AdamState()
@@ -325,8 +326,8 @@ def train(
                 logits = models.forward(spec, params, ids[idx], mode="train", rng=loop_rng)
                 loss = weighted_bce(logits, labels[idx], weights)
             grad_map = tape.gradients(loss)
-            grads = {name: grad_map.get(t) for name, t in params.tensors.items()}
-            adam_step(params.tensors, grads, state, config.learning_rate)
+            grads = {name: grad_map.get(t) for name, t in trainable.items()}
+            adam_step(trainable, grads, state, config.learning_rate)
             total += loss.item() * len(idx)
         entry: dict = {"epoch": epoch, "loss": total / n}
         if config.eval_every and epoch % config.eval_every == 0:
@@ -347,15 +348,13 @@ def train(
         "class_weights": list(weights.weights()),
         "dims": asdict(config.dims),
     }
-    weights_out = {name: t.data for name, t in params.tensors.items()}
-    weights_out.update(params.buffers)
     ckpt = Checkpoint(
         preset=config.preset,
         use_case=use_case,
         max_len=max_len,
         vocab=vocab.chars,
         hyperparameters=hyper,
-        weights=weights_out,
+        weights={name: t.data for name, t in params.items()},
         history=history,
     )
     return ckpt, history

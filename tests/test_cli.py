@@ -1,7 +1,12 @@
+import argparse
+import contextlib
+import io
 import json
 import os
+import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -88,6 +93,11 @@ class TestWeights:
         assert code == 0
         assert json.loads(out)["counts"] == [60, 60]
 
+    def test_empty_train_path_is_data_error(self, capsys):
+        # an empty path is a path to open, not an absent --train
+        code, out, err = run_cli(capsys, "weights", "--train", "", "--gamma", "1")
+        assert code == 1 and out == "" and err.startswith("error: cannot open")
+
     def test_bad_manifest_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "weights", "--manifest", "dns:train", "--gamma", "1")
         assert code == 2 and "error" in err
@@ -150,6 +160,16 @@ class TestTrainEvaluatePredict:
         )
         assert code == 0
         assert len([l for l in err.splitlines() if l.startswith("epoch ")]) == 2  # flag wins
+
+    def test_empty_config_path_is_data_error(self, capsys, toy_corpus, tmp_path):
+        # an empty path is a file to open, not an absent --config
+        _, train_csv, _, _ = toy_corpus
+        code, _, err = run_cli(
+            capsys, "train", "--train", str(train_csv), "--config", "", "--epochs", "1",
+            "--out", str(tmp_path / "m.ckpt"),
+        )
+        assert code == 1 and err.startswith("error:")
+        assert not (tmp_path / "m.ckpt").exists()
 
     def test_config_file_unknown_key(self, capsys, toy_corpus, tmp_path):
         _, train_csv, _, _ = toy_corpus
@@ -520,6 +540,73 @@ def test_any_bytes_are_a_checkpoint_or_a_checkpoint_error(toy_corpus, tmp_path_f
             pass
 
 
+def _flags(command):
+    """Every option string of one CLI subcommand."""
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return [opt for action in sub.choices[command]._actions for opt in action.option_strings]
+
+
+_FIXTURE_DIR = Path(__file__).parent / "fixtures"
+_FIXTURES = sorted(p.name for p in _FIXTURE_DIR.iterdir())
+#: a legal run of each command that drawn flags are appended to. Each example
+#: runs in a fresh directory that holds copies of the fixtures, so every path
+#: a vector reads or writes lies inside it. Every number below has at most
+#: three digits, and no legal --max-len is above 100, so no example allocates
+#: much.
+_ARGV_BASES = {
+    "gen-data": ["--use-case", "dga", "--legit", "3", "--malicious", "3", "--out", "out.csv"],
+    "weights": ["--counts", "5,1", "--gamma", "1"],
+    "train": ["--train", "dga_tiny.csv", "--preset", "cnn", "--out", "out.ckpt"],
+    "evaluate": ["--model", "dga_tiny_cnn.ckpt", "--test", "dga_tiny.csv"],
+    "predict": ["--model", "dga_tiny_lstm.ckpt", "--text", "a.com"],
+}
+_ARGV_FLAGS = sorted({flag for command in _ARGV_BASES for flag in _flags(command)})
+_ARGV_VALUES = (
+    ["", "-1", "nan", "inf", "1e400", "2,1", "transformer", "missing/x.csv", "."]
+    + _FIXTURES
+    + ["out.csv", "out.ckpt"]
+    + ["0", "1", "2", "3", "40", "100", "0.5", "1,2", "5,9", "dga:train", "a.com"]
+    + sorted(cli.TRAIN_OPTIONS["preset"][1]) + ["dga", "email", "url", "train", "test"]
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    command=st.sampled_from(sorted(_ARGV_BASES)),
+    keep_base=st.booleans(),
+    data=st.data(),
+)
+def test_no_argument_vector_prints_a_traceback(tmp_path_factory, command, keep_base, data):
+    # pairs of the command's own flags and pool values, so that many vectors
+    # parse, and at most one stray token (any flag or value), so that some do not
+    pairs = data.draw(
+        st.lists(st.tuples(st.sampled_from(_flags(command)), st.sampled_from(_ARGV_VALUES)), max_size=4),
+        label="pairs",
+    )
+    stray = data.draw(st.lists(st.sampled_from(_ARGV_FLAGS + _ARGV_VALUES), max_size=1), label="stray")
+    argv = [command] + (_ARGV_BASES[command] if keep_base else [])
+    argv += [token for pair in pairs for token in pair]
+    argv[data.draw(st.integers(1, len(argv)), label="at"):0] = stray
+    if command == "train":
+        # a drawn --max-len comes later and wins; none would leave email's 500
+        argv[1:1] = ["--max-len", "40"]
+        argv += ["--epochs", "1"]
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory(dir=tmp_path_factory.getbasetemp()) as tmp:
+        for name in _FIXTURES:
+            shutil.copy(_FIXTURE_DIR / name, tmp)
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+        finally:
+            os.chdir(cwd)
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue(), argv
+
+
 def test_cli_import_leaves_scipy_unloaded():
     code = "import sys, costnet.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
@@ -528,7 +615,8 @@ def test_cli_import_leaves_scipy_unloaded():
 
 
 def test_cli_import_leaves_concurrent_futures_unloaded():
-    # its import would land on every cold predict; scoring starts plain threads
+    # its import would land on every cold predict; the kept scoring threads'
+    # ThreadPoolExecutors import it on the first threaded scoring instead
     code = "import sys, costnet.cli; print('concurrent.futures' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)

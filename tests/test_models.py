@@ -1,4 +1,5 @@
 import ast
+import hashlib
 from dataclasses import replace
 from pathlib import Path
 
@@ -24,15 +25,11 @@ def random_ids(rng, n, max_len, vocab_size, pad_tail=0):
 class TestBuildModel:
     def test_cnn_kernel_shape(self):
         spec, params = models.build_model("cnn", 40, 100, seed=0)
-        assert params.tensors["01.conv1d.kernels"].shape == (3, 128, 64)
+        assert params["01.conv1d.kernels"].shape == (3, 128, 64)
 
     def test_lstm_parameter_count(self):
         spec, params = models.build_model("lstm", 40, 100, seed=0)
-        n = sum(
-            params.tensors[k].size
-            for k in params.tensors
-            if ".lstm." in k
-        )
+        n = sum(t.size for k, t in params.items() if ".lstm." in k)
         assert n == 4 * (128 * (128 + 128) + 128) == 131_584
 
     def test_dnn_hidden_widths(self):
@@ -74,16 +71,33 @@ class TestBuildModel:
     def test_same_seed_same_weights(self):
         _, a = models.build_model("cnn", 40, 30, seed=9)
         _, b = models.build_model("cnn", 40, 30, seed=9)
-        for k in a.tensors:
-            np.testing.assert_array_equal(a.tensors[k].data, b.tensors[k].data)
+        for k in a:
+            np.testing.assert_array_equal(a[k].data, b[k].data)
+
+    # sha256 of each preset's initial arrays, in name order, at default dims:
+    # pins the init draw order and the glorot fans that come from each shape
+    INITIAL_DIGESTS = {
+        "dnn": "7e55607892d0f8cba7506dcda1841d2eb5ba2ef747d1b42b7abb807e54e7b7c4",
+        "cnn": "a2b78daab5085388870c77e18767b5fe588aba2af669815a1b8367dbfcf4685f",
+        "lstm": "5e6a1ec74162389710da6977099371ae841648cb8244d3e1ec02e9cee2b0ae1b",
+        "cnn_lstm": "722f5cdb994fb62319a904edd113b7fb610dd1e30142018456b690ab5d62e149",
+    }
+
+    @pytest.mark.parametrize("preset", models.PRESETS)
+    def test_initial_weights_are_pinned(self, preset):
+        _, params = models.build_model(preset, 40, 100, seed=0)
+        digest = hashlib.sha256()
+        for name in sorted(params):
+            digest.update(params[name].data.tobytes())
+        assert digest.hexdigest() == self.INITIAL_DIGESTS[preset]
 
     def test_pad_row_zero_at_init(self):
         _, params = models.build_model("cnn", 40, 30, seed=3)
-        np.testing.assert_array_equal(params.tensors["00.embedding.table"].data[PAD_ID], 0.0)
+        np.testing.assert_array_equal(params["00.embedding.table"].data[PAD_ID], 0.0)
 
     def test_forget_gate_bias_starts_at_one(self):
         _, params = models.build_model("lstm", 40, 30, seed=3)
-        b = params.tensors["01.lstm.b"].data
+        b = params["01.lstm.b"].data
         h = 128
         np.testing.assert_array_equal(b[h : 2 * h], 1.0)
         np.testing.assert_array_equal(b[:h], 0.0)
@@ -111,17 +125,17 @@ class TestShapeChain:
 class TestLstmLayer:
     def test_zero_weights_zero_output(self):
         _, params = models.build_model("lstm", 10, 5, seed=0, dims=TINY)
-        for key in list(params.tensors):
+        for key in list(params):
             if ".lstm." in key:
-                params.tensors[key].data[:] = 0.0
+                params[key].data[:] = 0.0
         rng = np.random.default_rng(0)
         ids = random_ids(rng, 3, 5, 10)
-        x = ad.embedding(params.tensors["00.embedding.table"], ids)
+        x = ad.embedding(params["00.embedding.table"], ids)
         out = ad.lstm(
             x,
-            params.tensors["01.lstm.w_x"],
-            params.tensors["01.lstm.w_h"],
-            params.tensors["01.lstm.b"],
+            params["01.lstm.w_x"],
+            params["01.lstm.w_h"],
+            params["01.lstm.b"],
         )
         np.testing.assert_array_equal(out.data, 0.0)
 
@@ -166,7 +180,7 @@ class TestForward:
         with ad.Tape() as tape:
             logits = models.forward(spec, params, ids, mode="train", rng=np.random.default_rng(0))
             out = weighted_bce(logits, np.ones(6, dtype=int), w)
-        table = params.tensors["00.embedding.table"]
+        table = params["00.embedding.table"]
         g = tape.gradients(out)[table]
         np.testing.assert_array_equal(g[PAD_ID], 0.0)
         assert np.abs(g[2:]).sum() > 0
@@ -175,7 +189,7 @@ class TestForward:
         spec, params = models.build_model("dnn", 20, 12, seed=4, dims=TINY)
         ids = random_ids(np.random.default_rng(7), 6, 12, 20, pad_tail=5)
         w = compute_class_weights([1, 1], gamma=0.0)
-        table, dense_w = params.tensors["00.embedding.table"], params.tensors["02.dense.w"]
+        table, dense_w = params["00.embedding.table"], params["02.dense.w"]
         with ad.Tape() as tape:
             logits = models.forward(spec, params, ids, mode="train", rng=np.random.default_rng(0))
             out = weighted_bce(logits, np.ones(6, dtype=int), w)
@@ -192,7 +206,7 @@ class TestForward:
         spec, params = models.build_model(preset, 20, 12, seed=0, dims=TINY)
         ids = random_ids(np.random.default_rng(2), 4, 12, 20)
         # a row the batch reads, in place, as a diverged optimizer step would
-        params.tensors["00.embedding.table"].data[ids[0, 0], 0] = value
+        params["00.embedding.table"].data[ids[0, 0], 0] = value
         with pytest.raises(DataError):
             models.forward(spec, params, ids, mode=mode, rng=np.random.default_rng(0))
 
@@ -265,12 +279,12 @@ class TestEndToEndGradients:
         ids = random_ids(rng, 3, 8, 13)
         labels = np.array([0, 1, 1])
         weights = compute_class_weights([2, 1], gamma=1.0)
-        names = sorted(params.tensors)
-        tensors = [params.tensors[n] for n in names]
+        names = sorted(name for name, t in params.items() if t.requires_grad)
+        tensors = [params[n] for n in names]
 
         def f(*leaves):
             for name, leaf in zip(names, leaves):
-                params.tensors[name] = leaf
+                params[name] = leaf
             # fresh generator per call keeps train-mode dropout fixed for
             # the finite-difference probes
             logits = models.forward(

@@ -10,7 +10,10 @@ a map from leaf tensors to gradient arrays.
 hands ``(table, ids, pad_id)`` to the op that reads it, and that op gathers
 only what it needs: ``conv1d_valid`` and ``lstm`` fold the lookup into their
 first product, ``matmul`` gathers the rows up to the last filled position,
-and each differentiates the table directly.
+and each differentiates the table directly. Making a ``Lookup`` checks it
+once, for all its readers: each id of its 2-D integer array is a row of the
+table (else ``EncodingError``), the table is 2-D with ``pad_id`` one of its
+rows (else ``ShapeError``), and finite (else ``DataError``).
 
 Numerics: float32 is the working precision, float64 is used for gradient
 checking. All op outputs are validated to be finite, so a diverging training
@@ -25,11 +28,11 @@ thread record nothing on it.
 from __future__ import annotations
 
 import threading
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, DataError, ShapeError
+from .errors import ConfigError, ContractError, DataError, EncodingError, ShapeError
 
 DEFAULT_DTYPE = np.float32
 # batchnorm's running statistics keep this share of their value each train step
@@ -310,7 +313,7 @@ def matmul(a: Tensor | Lookup, b: Tensor) -> Tensor:
 def _lookup_matmul(x: Lookup, w: Tensor) -> Tensor:
     table, ids, pad_id = x
     dim = table.shape[1]
-    if ids.ndim != 2 or w.data.ndim != 2 or ids.shape[1] * dim != w.shape[0]:
+    if w.data.ndim != 2 or ids.shape[1] * dim != w.shape[0]:
         raise ShapeError(
             f"matmul: lookup of {ids.shape} ids into {table.shape} cannot multiply {w.shape}"
         )
@@ -339,36 +342,39 @@ def _lookup_matmul(x: Lookup, w: Tensor) -> Tensor:
     return _emit(out, (table, w), back)
 
 
-class Lookup(NamedTuple):
-    """Rows ``ids`` of a ``[vocab, dim]`` table, not yet gathered.
+class Lookup:
+    """Rows ``ids`` of a ``[rows, dim]`` table, checked but not yet gathered.
 
-    ``pad_id`` names the row the lookup keeps frozen: it gets no gradient.
-    ``conv1d_valid``, ``lstm`` and ``matmul`` read a lookup; ``matmul`` skips
-    the trailing pad positions when the pad row is all zero.
+    Unpacks as ``(table, ids, pad_id)``; ``pad_id`` names the row that gets no
+    gradient. Making one checks the lookup contract of the module docstring,
+    so ``conv1d_valid``, ``lstm`` and ``matmul`` read it unchecked. The table
+    is checked too: the lstm's saturating gates can hide an infinite entry.
     """
 
-    table: Tensor
-    ids: np.ndarray
-    pad_id: int
+    __slots__ = ("table", "ids", "pad_id")
+
+    def __init__(self, table: Tensor, ids, pad_id: int):
+        ids = np.asarray(ids)
+        rows = len(table.data) if table.data.ndim == 2 else 0
+        if not (isinstance(pad_id, (int, np.integer)) and 0 <= pad_id < rows):
+            raise ShapeError(f"embedding: a {table.shape} table has no pad row {pad_id!r}")
+        if ids.ndim != 2 or ids.dtype.kind not in "iu":
+            raise EncodingError(f"embedding: ids must be 2-D integers, got {ids.dtype} {ids.shape}")
+        if ids.min(initial=0) < 0 or ids.max(initial=0) >= rows:
+            raise EncodingError(f"embedding: ids must be in [0, {rows}), got [{ids.min()}, {ids.max()}]")
+        if not np.isfinite(table.data).all():
+            raise DataError("embedding: table contains NaN or Inf values")
+        self.table, self.ids, self.pad_id = table, ids, pad_id
+
+    def __iter__(self):
+        return iter((self.table, self.ids, self.pad_id))
 
 
 def embedding(table: Tensor, ids: np.ndarray, pad_id: int = 0) -> Lookup:
-    """Look rows of ``table`` up by integer id, leaving the gather to the reader.
+    """Look rows of ``table`` up by integer id: the checked ``Lookup``, not gathered.
 
-    Checks the ids against the table and the table for NaN or Inf, and
-    returns a ``Lookup``: no gather, no tensor and no tape node.
-    ``conv1d_valid`` and ``lstm`` fold it into their first product; ``matmul``
-    gathers its live prefix. The table is checked here because no output check
-    can stand in for it: the lstm's gates saturate, so an infinite entry leaves
-    its output finite.
+    No gather, no tensor and no tape node; a bad lookup raises as ``Lookup`` does.
     """
-    ids = np.asarray(ids)
-    if ids.min(initial=0) < 0 or (ids.size and ids.max() >= table.shape[0]):
-        raise ShapeError(
-            f"embedding: ids out of range for table with {table.shape[0]} rows"
-        )
-    if not np.isfinite(table.data).all():
-        raise DataError("embedding: table contains NaN or Inf values")
     return Lookup(table, ids, pad_id)
 
 
@@ -399,18 +405,11 @@ def conv1d_valid(x: Lookup, kernels: Tensor, bias: Tensor) -> Tensor:
     if not isinstance(x, Lookup):
         raise ContractError(f"conv1d: expected an embedding lookup, got {type(x).__name__}")
     table, ids, pad_id = x
-    if ids.ndim != 2 or kernels.data.ndim != 3 or bias.data.ndim != 1:
-        raise ShapeError(
-            f"conv1d: expected 2d ids, 3d kernels, 1d bias, got {ids.shape}, "
-            f"{kernels.shape}, {bias.shape}"
-        )
     batch, length = ids.shape
     vocab, in_ch = table.shape
-    k, k_in, out_ch = kernels.shape
-    if k_in != in_ch:
-        raise ShapeError(f"conv1d: channel mismatch {in_ch} vs {k_in}")
-    if bias.shape != (out_ch,):
-        raise ShapeError(f"conv1d: bias shape {bias.shape} != ({out_ch},)")
+    if kernels.data.ndim != 3 or kernels.shape[1] != in_ch or bias.shape != kernels.shape[2:]:
+        raise ShapeError(f"conv1d: kernels {kernels.shape}, bias {bias.shape} do not fit {in_ch} channels")
+    k, _, out_ch = kernels.shape
     if length < k:
         raise ShapeError(f"conv1d: sequence too short, len {length} < kernel {k}")
     out_len = length - k + 1
@@ -503,21 +502,17 @@ def lstm(x: Tensor | Lookup, w_x: Tensor, w_h: Tensor, b: Tensor) -> Tensor:
     table E by [batch, len] ids. A lookup is folded into the input projection:
     ``Q = E @ w_x`` is one ``[vocab, 4h]`` table, and step t reads its rows
     ``Q[ids[:, t]]`` when it runs, with or without a tape, so no
-    ``[steps, batch, 4h]`` input block is built. An id past the table's rows
-    raises ``IndexError``. The node records E as its input. Its x-side
-    backward is ``dQ = onehot^T @ DZ``, ``dw_x = E^T @ dQ`` and
-    ``dE = dQ @ w_x^T`` with the pad row zeroed, all over ``vocab`` rows; the
-    recurrent loop is the same for both inputs.
+    ``[steps, batch, 4h]`` input block is built. The node records E as its
+    input. Its x-side backward is ``dQ = onehot^T @ DZ``, ``dw_x = E^T @ dQ``
+    and ``dE = dQ @ w_x^T`` with the pad row zeroed, all over ``vocab`` rows;
+    the recurrent loop is the same for both inputs.
     """
     folded = isinstance(x, Lookup)
     if folded:
         table, ids, pad_id = x
-        shape = ids.shape + table.shape[1:]
-    else:
-        shape = x.shape
-    if len(shape) != 3:
-        raise ShapeError(f"lstm: expected [batch, len, dim], got {shape}")
-    batch, steps, dim = shape
+    elif x.data.ndim != 3:
+        raise ShapeError(f"lstm: expected [batch, len, dim], got {x.shape}")
+    batch, steps, dim = ids.shape + table.shape[1:] if folded else x.shape
     if steps < 1:
         raise ShapeError("lstm: needs at least one time step")
     hidden = w_h.shape[0]

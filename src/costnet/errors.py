@@ -35,7 +35,7 @@ class ParseError(DataError):
 
 
 class EncodingError(DataError):
-    """Token ids outside the vocabulary reached the model."""
+    """Token ids outside the vocabulary reached the model; ``autodiff.Lookup`` raises it."""
 
 
 class ContractError(CostnetError):

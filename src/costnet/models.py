@@ -19,15 +19,12 @@ The table ``_KINDS`` is the one place that defines a layer kind: its
 hyperparameter check, output shape, arrays and forward op. ``LayerSpec``,
 ``output_shapes``, ``parameter_table`` and ``forward`` only look kinds up there.
 
-The embedding layer gathers nothing: ``ad.embedding`` hands an ``ad.Lookup``
-of its table and ids to the next layer. ``ad.conv1d_valid`` (cnn, cnn_lstm)
-and ``ad.lstm`` (lstm) fold it into their first linear map, gathering rows of a
-``[vocab, out]`` product of the table and their weights. dnn's flatten passes
-the lookup on, and its first dense layer's ``ad.matmul`` is the one place that
-gathers the table's rows: only up to the last position any row fills, since
-the zero pad row adds nothing. Each of them differentiates the table directly.
-cnn_lstm's lstm reads the front-end's output, a tensor; the input alone
-decides this.
+The embedding layer gathers nothing: ``ad.embedding`` checks the ids, the one
+check they get, and hands an ``ad.Lookup`` to the next layer. ``ad.conv1d_valid``
+(cnn, cnn_lstm) and ``ad.lstm`` (lstm) fold it into their first linear map; dnn's
+flatten passes it on to the first dense layer's ``ad.matmul``, which gathers
+rows only up to the last position any row fills. cnn_lstm's lstm reads the
+front-end's output, a tensor; the input alone decides this.
 
 Weight init is uniform Glorot; the recurrent forget-gate bias starts at 1,
 the embedding pad row starts (and stays) at zero. ``parameter_table`` lists
@@ -44,7 +41,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, EncodingError, ShapeError
+from .errors import ConfigError, ShapeError
 from .text import PAD_ID
 
 PRESETS = ("dnn", "cnn", "lstm", "cnn_lstm")
@@ -375,11 +372,6 @@ def forward(
         raise ConfigError(f"mode must be 'train' or 'infer', got {mode!r}")
     if ids.ndim != 2 or ids.shape[1] != spec.max_len:
         raise ShapeError(f"ids must be [n, {spec.max_len}], got {ids.shape}")
-    if ids.min(initial=0) < 0 or ids.max(initial=0) >= spec.vocab_size:
-        raise EncodingError(
-            f"token ids must be in [0, {spec.vocab_size}), got "
-            f"[{ids.min()}, {ids.max()}]"
-        )
     run = _Run(ids, mode == "train", rng)
     h: ad.Tensor | None = None
     for idx, layer in enumerate(spec.layers):

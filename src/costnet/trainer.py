@@ -485,6 +485,14 @@ def _forward_all(spec, params, ids) -> np.ndarray:
     return np.concatenate(probs)
 
 
+def _scoring_vocabulary(ckpt: Checkpoint) -> CharVocabulary | NaiveBayesModel:
+    """What scoring reads a checkpoint's vocab into: a ``CharVocabulary``, or the NB model."""
+    if ckpt.preset != "naive_bayes":
+        return CharVocabulary(ckpt.vocab)
+    tables = (np.asarray(ckpt.weights[k], np.float64) for k in ("class_log_prior", "token_log_prob"))
+    return NaiveBayesModel(*tables, tokens=tuple(ckpt.vocab))
+
+
 def predict_probabilities(ckpt: Checkpoint, texts) -> np.ndarray:
     """Positive-class probability of each raw string; the one scoring path.
 
@@ -503,21 +511,17 @@ def predict_probabilities(ckpt: Checkpoint, texts) -> np.ndarray:
     texts = list(texts)
     if not texts:
         raise ContractError("cannot score an empty list of texts")
+    vocab = _scoring_vocabulary(ckpt)
     if ckpt.preset == "naive_bayes":
         lo, hi = ckpt.hyperparameters["n_range"]
-        model = NaiveBayesModel(
-            class_log_prior=np.asarray(ckpt.weights["class_log_prior"], dtype=np.float64),
-            token_log_prob=np.asarray(ckpt.weights["token_log_prob"], dtype=np.float64),
-            tokens=tuple(ckpt.vocab),
-        )
-        return nb_positive_probability(model, [ngram_counts(t, lo, hi) for t in texts])
+        return nb_positive_probability(vocab, [ngram_counts(t, lo, hi) for t in texts])
     spec = _checkpoint_spec(ckpt)
     arrays = {
         name: np.ascontiguousarray(arr, dtype=ad.DEFAULT_DTYPE)
         for name, arr in ckpt.weights.items()
     }
     params = models.assemble_parameters(spec, arrays)
-    ids = encode_batch(texts, CharVocabulary(ckpt.vocab), ckpt.max_len)
+    ids = encode_batch(texts, vocab, ckpt.max_len)
     real = ids != PAD_ID
     oov_rate = float(np.count_nonzero(ids[real] == OOV_ID)) / max(1, int(np.count_nonzero(real)))
     if oov_rate > 0.5:
@@ -747,7 +751,8 @@ def _read_checkpoint(fh, path) -> Checkpoint:
         if fh.readinto(arr) != length:
             raise CheckpointTruncatedError(f"{path}: weight {name!r} blob cut short")
         ckpt.weights[name] = arr
-    weights = ckpt.weights.values()
-    if ckpt.preset == "naive_bayes" and not all(np.isfinite(a).all() for a in weights):
-        raise CheckpointError(f"{path}: naive_bayes tables hold NaN or Inf")
+    try:
+        _scoring_vocabulary(ckpt)  # what scoring would refuse
+    except DataError as exc:
+        raise CheckpointError(f"{path}: {exc}") from exc
     return ckpt

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from costnet import autodiff as ad
-from costnet.errors import ConfigError, ContractError, DataError, ShapeError
+from costnet.errors import (
+    ConfigError, ContractError, CostnetError, DataError, EncodingError, ShapeError,
+)
 
 
 def t64(data, grad=True):
@@ -645,7 +647,7 @@ class TestEmbeddingOp:
 
     def test_out_of_range_ids(self):
         table = ad.Tensor(np.zeros((3, 2)))
-        with pytest.raises(ShapeError):
+        with pytest.raises(EncodingError):
             ad.embedding(table, np.array([[5]]))
 
     def test_table_gradient_matches_finite_differences(self):
@@ -917,7 +919,7 @@ class TestEmbeddingFold:
         arrays, ids = fold_inputs(ad.lstm, np.float32)
         table, *weights = (ad.Tensor(a, requires_grad=record) for a in arrays)
         ids[2, 5] = table.shape[0]
-        with ad.Tape(), pytest.raises(IndexError):
+        with ad.Tape(), pytest.raises(EncodingError):
             ad.lstm(ad.Lookup(table, ids, 0), *weights)
 
     @pytest.mark.parametrize("op", FOLDED_OPS, ids=["conv1d", "lstm"])
@@ -927,3 +929,84 @@ class TestEmbeddingFold:
         table, *weights = (ad.Tensor(a) for a in arrays)
         infer = op(ad.embedding(table, ids), *weights)
         assert infer.data.tobytes() == out.tobytes()
+
+
+def bad_lookup(case):
+    """The arguments of a hand-built ``ad.Lookup`` that breaks its contract, and its error."""
+    table = np.random.default_rng(8).standard_normal((5, 3))
+    ids, pad_id, error = np.array([[1, 2, 3, 4]]), 0, ShapeError
+    if case == "conv1d-id-past-rows":  # a 2-tap conv1d would read tap 1's row 1
+        ids, error = np.array([[6, 1, 2]]), EncodingError
+    elif case == "lstm-negative-id":  # the lstm would read the last row
+        ids, error = np.array([[2, -1, 3]]), EncodingError
+    elif case == "pad-minus-one":
+        pad_id = -1
+    elif case == "pad-equals-rows":
+        pad_id = 5
+    elif case == "float-ids":
+        ids, error = ids.astype(np.float64), EncodingError
+    elif case == "1-d-ids":
+        ids, error = ids[0], EncodingError
+    elif case == "1-d-table":
+        table = table[:, 0]
+    elif case == "infinite-table":
+        table[4, 2], error = np.inf, DataError
+    return table, ids, pad_id, error
+
+
+BAD_LOOKUPS = ["conv1d-id-past-rows", "lstm-negative-id", "pad-minus-one", "pad-equals-rows",
+               "float-ids", "1-d-ids", "1-d-table", "infinite-table"]
+
+
+class TestLookupContract:
+    @pytest.mark.parametrize("case", BAD_LOOKUPS)
+    def test_bad_lookup_is_refused_when_made(self, case):
+        table, ids, pad_id, error = bad_lookup(case)
+        tensor = ad.Tensor(np.ones_like(table))
+        tensor.data[...] = table  # as an optimizer writes, unchecked
+        with pytest.raises(error, match="embedding"):
+            ad.Lookup(tensor, ids, pad_id)
+        with pytest.raises(error, match="embedding"):
+            ad.embedding(tensor, ids, pad_id)
+
+    @pytest.mark.parametrize("op", FOLDED_OPS, ids=["conv1d", "lstm"])
+    def test_reader_gets_no_bad_lookup(self, op):
+        case = "conv1d-id-past-rows" if op is ad.conv1d_valid else "lstm-negative-id"
+        table, ids, pad_id, error = bad_lookup(case)
+        weights = ([np.ones((2, 3, 4)), np.zeros(4)] if op is ad.conv1d_valid
+                   else [np.ones((3, 8)), np.ones((2, 8)), np.zeros(8)])
+        with pytest.raises(error):
+            op(ad.Lookup(ad.Tensor(table), ids, pad_id), *(ad.Tensor(w) for w in weights))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.integers(1, 6),
+        batch=st.integers(1, 3),
+        length=st.integers(2, 6),
+        dtype=st.sampled_from([np.int64, np.int32, np.int8, np.uint8, np.uint32,
+                               np.float64, np.float32, np.bool_]),
+        data=st.data(),
+    )
+    def test_lookup_is_refused_or_read_as_its_gather(self, rows, batch, length, dtype, data):
+        raw = data.draw(hnp.arrays(np.int64, (batch, length), elements=st.integers(-3, rows + 3)))
+        pad_id = data.draw(st.integers(-2, rows + 1))
+        ids = raw.astype(dtype)  # negative ids wrap to large ones in unsigned dtypes
+        valid = (np.dtype(dtype).kind in "iu" and 0 <= pad_id < rows
+                 and ((ids >= 0) & (ids < rows)).all())
+        rng = np.random.default_rng(rows * 100 + length)
+        table = rng.standard_normal((rows, 5))
+        try:
+            ad.Lookup(ad.Tensor(table), ids, pad_id)
+        except CostnetError:
+            assert not valid
+            return
+        assert valid
+        conv = [table, rng.standard_normal((2, 5, 6)), rng.standard_normal(6)]
+        recur = [table, rng.standard_normal((5, 16)) * 0.4, rng.standard_normal((4, 16)) * 0.4,
+                 rng.standard_normal(16) * 0.1]
+        for op, arrays in [(ad.conv1d_valid, conv), (ad.lstm, recur)]:
+            out, grads, _ = fold_run(op, arrays, ids, pad_id)
+            ref_out, ref_grads, _ = fold_run(op, arrays, ids, pad_id, fold=False)
+            for got, want in zip([out, *grads], [ref_out, *ref_grads]):
+                assert got.shape == want.shape
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()

@@ -425,6 +425,41 @@ def test_int_past_digit_limit_in_header_is_checkpoint_error(toy_corpus, tmp_path
         trainer.load(bad)
 
 
+def _with_vocab_fault(tmp_path, fault):
+    """A copy of a fixture checkpoint whose header vocab cannot score."""
+    fixture = "dga_tiny_naive_bayes.ckpt" if fault == "repeated-token" else "dga_tiny_cnn.ckpt"
+    head, blob = (Path(__file__).parent / "fixtures" / fixture).read_bytes().split(b"\x00", 1)
+    header = json.loads(head)
+    vocab = header["vocab"]
+    if fault == "two-char-entry":
+        vocab[1] = "ab"
+    else:  # a repeated character, or a repeated naive bayes token
+        vocab[1] = vocab[0]
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(json.dumps(header).encode("utf-8") + b"\x00" + blob)
+    return bad
+
+
+VOCAB_FAULTS = ["two-char-entry", "repeated-char", "repeated-token"]
+
+
+@pytest.mark.parametrize("fault", VOCAB_FAULTS)
+def test_vocab_that_cannot_score_is_refused_by_load(tmp_path, fault):
+    bad = _with_vocab_fault(tmp_path, fault)
+    with pytest.raises(CheckpointError, match="unique|single characters") as caught:
+        trainer.load(bad)
+    assert str(bad) in str(caught.value)
+
+
+@pytest.mark.parametrize("fault", VOCAB_FAULTS)
+def test_vocab_that_cannot_score_is_one_predict_error(capsys, tmp_path, fault):
+    bad = _with_vocab_fault(tmp_path, fault)
+    code, out, err = run_cli(capsys, "predict", "--model", str(bad), "--text", "a.com")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1 and str(bad) in err
+    assert "Traceback" not in err
+
+
 # JSON scalars and nested lists: values some option takes, values none takes,
 # and the edges between, such as ints beyond float range, NaN and bools
 _JSON_SCALARS = st.one_of(

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from costnet import trainer
 from costnet.data import GeneratorConfig, gen_synthetic
 from costnet.errors import ConfigError, DataError
-from costnet.naive_bayes import nb_positive_probability, nb_train
+from costnet.naive_bayes import NaiveBayesModel, nb_positive_probability, nb_train
 from costnet.text import ngram_counts
 
 
@@ -296,3 +296,15 @@ class TestBatchedEqualsPerDocumentLoop:
         batch = trainer.predict_probabilities(ckpt, texts)
         for i, text in enumerate(texts):
             assert trainer.predict_probability(ckpt, text) == batch[i]
+
+
+@pytest.mark.parametrize("fault", ["repeated-token", "nan-table"])
+def test_model_that_cannot_score_is_refused_when_made(fault):
+    model = nb_train([Counter("ab"), Counter("bc")], [0, 1])
+    tokens, log_prob = model.tokens, model.token_log_prob.copy()
+    if fault == "repeated-token":
+        tokens = (tokens[1],) + tokens[1:]  # the index would score "a" nowhere
+    else:
+        log_prob[1, 0] = np.nan
+    with pytest.raises(DataError, match="unique" if fault == "repeated-token" else "NaN or Inf"):
+        NaiveBayesModel(model.class_log_prior, log_prob, tokens)

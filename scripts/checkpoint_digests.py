@@ -1,19 +1,20 @@
 #!/usr/bin/env python3
 """Print the sha256 of saved checkpoints and of their held-out probabilities as JSON.
 
-Trains each neural preset at gamma 0 and 1, and naive bayes, at two sizes:
-those of the benchmark's ``dga-short`` workload (dga, 400:20 train, 250:250
-test, max_len 40) and of its ``url-score`` workload (url, 160:80, 100:100,
-max_len 100). Each checkpoint is saved, loaded back and scored on its
+Trains each neural preset at gamma 0 and 1, and naive bayes, on the corpora
+of each perfbench workload (``perfbench/workloads.py``: ``dga-short`` and
+``url-score``), with that workload's sizes and per-preset epochs, batch size
+and learning rate. Each checkpoint is saved, loaded back and scored on its
 held-out split. Two source trees that print the same object train, save and
-score byte-identically at these settings.
+score byte-identically at these settings. ``costnet`` is imported from the
+Python path, so ``PYTHONPATH=<tree>/src`` digests another tree.
 
-    python scripts/checkpoint_digests.py [--seed N] [--tiny] [--criterion-3]
+    python scripts/checkpoint_digests.py [--tiny] [--criterion-3]
 
-``--seed N`` generates the train split with seed 2N and the held-out split
-with 2N + 1, and trains with seed N. ``--criterion-3`` adds the ten
-checkpoints of the seeded imbalance benchmark (acceptance criterion 3) and
-its summary. ``--tiny`` shrinks every size, for a quick check of the script.
+``--criterion-3`` adds the ten checkpoints of the seeded imbalance benchmark
+(acceptance criterion 3) and its summary. ``--tiny`` uses each workload's
+``tiny()`` copy and smaller criterion-3 settings, for a quick check of the
+script.
 """
 
 import argparse
@@ -28,14 +29,13 @@ import numpy as np
 
 from costnet import benchmark, trainer
 from costnet.data import GeneratorConfig, gen_synthetic
-from costnet.models import PRESETS, PresetDims, scaled_dims
+from costnet.models import PRESETS
 
-# name: use case, train (legit, malicious), test (legit, malicious), max_len
-SIZES = {
-    "dga-short": ("dga", (400, 20), (250, 250), 40),
-    "url-score": ("url", (160, 80), (100, 100), 100),
-}
-EPOCHS, BATCH_SIZE, LEARNING_RATE = 2, 32, 0.001
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import WORKLOADS  # noqa: E402
+
+#: the train split is generated with seed 2 * SEED, the held-out split with 2 * SEED + 1
+SEED = 1
 
 
 def sha256(data: bytes) -> str:
@@ -50,22 +50,19 @@ def digests(ckpt, name: str, texts, work: Path) -> dict[str, str]:
     return {f"{name}.ckpt": sha256(path.read_bytes()), f"{name}.probs": sha256(probs.tobytes())}
 
 
-def size_digests(size: str, seed: int, tiny: bool, work: Path) -> dict[str, str]:
-    use_case, train_counts, test_counts, max_len = SIZES[size]
-    if tiny:
-        train_counts, test_counts = (12, 4), (4, 4)
-    train_ds = gen_synthetic(GeneratorConfig(use_case, *train_counts, seed=2 * seed, split="train"))
-    test_ds = gen_synthetic(GeneratorConfig(use_case, *test_counts, seed=2 * seed + 1, split="test"))
-    out = digests(trainer.train_naive_bayes(train_ds), f"{size}/naive_bayes", test_ds.texts, work)
+def workload_digests(w, work: Path) -> dict[str, str]:
+    train_ds = gen_synthetic(GeneratorConfig(w.use_case, *w.train_counts, seed=2 * SEED, split="train"))
+    test_ds = gen_synthetic(GeneratorConfig(w.use_case, *w.test_counts, seed=2 * SEED + 1, split="test"))
+    out = digests(trainer.train_naive_bayes(train_ds), f"{w.name}/naive_bayes", test_ds.texts, work)
     for preset in PRESETS:
+        epochs, batch_size, learning_rate = w.training[preset]
         for gamma in (0.0, 1.0):
             config = trainer.TrainConfig(
-                learning_rate=LEARNING_RATE, epochs=1 if tiny else EPOCHS,
-                batch_size=BATCH_SIZE, gamma=gamma, seed=seed, preset=preset,
-                max_len=max_len, dims=scaled_dims() if tiny else PresetDims(),
+                learning_rate=learning_rate, epochs=epochs, batch_size=batch_size,
+                gamma=gamma, seed=SEED, preset=preset, max_len=w.max_len,
             )
             ckpt, _ = trainer.train(train_ds, config)
-            out.update(digests(ckpt, f"{size}/{preset}-gamma{gamma:g}", test_ds.texts, work))
+            out.update(digests(ckpt, f"{w.name}/{preset}-gamma{gamma:g}", test_ds.texts, work))
     return out
 
 
@@ -95,15 +92,14 @@ def criterion_3_digests(tiny: bool, work: Path) -> dict:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--seed", type=int, default=1, help="data and training seed (default 1)")
     parser.add_argument("--tiny", action="store_true", help="shrink every size, for a quick check")
     parser.add_argument("--criterion-3", action="store_true",
                         help="add the imbalance benchmark's ten checkpoints and its summary")
     args = parser.parse_args()
     result = {}
     with tempfile.TemporaryDirectory() as work:
-        for size in SIZES:
-            result.update(size_digests(size, args.seed, args.tiny, Path(work)))
+        for w in WORKLOADS.values():
+            result.update(workload_digests(w.tiny() if args.tiny else w, Path(work)))
         if args.criterion_3:
             result.update(criterion_3_digests(args.tiny, Path(work)))
     print(json.dumps(result, sort_keys=True))

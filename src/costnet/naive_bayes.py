@@ -29,8 +29,6 @@ class NaiveBayesModel:
         self._index = {t: i for i, t in enumerate(self.tokens)}
         if len(self._index) != len(self.tokens):
             raise DataError("naive bayes tokens must be unique")
-        if not (np.isfinite(self.class_log_prior).all() and np.isfinite(self.token_log_prob).all()):
-            raise DataError("naive bayes tables hold NaN or Inf")
 
 
 def _flatten(docs: Sequence[Mapping[str, int]]) -> tuple[list[str], np.ndarray, np.ndarray]:

@@ -751,6 +751,9 @@ def _read_checkpoint(fh, path) -> Checkpoint:
         if fh.readinto(arr) != length:
             raise CheckpointTruncatedError(f"{path}: weight {name!r} blob cut short")
         ckpt.weights[name] = arr
+    weights = ckpt.weights.values()
+    if ckpt.preset == "naive_bayes" and not all(np.isfinite(a).all() for a in weights):
+        raise CheckpointError(f"{path}: naive_bayes tables hold NaN or Inf")
     try:
         _scoring_vocabulary(ckpt)  # what scoring would refuse
     except DataError as exc:

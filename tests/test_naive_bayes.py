@@ -298,13 +298,8 @@ class TestBatchedEqualsPerDocumentLoop:
             assert trainer.predict_probability(ckpt, text) == batch[i]
 
 
-@pytest.mark.parametrize("fault", ["repeated-token", "nan-table"])
-def test_model_that_cannot_score_is_refused_when_made(fault):
+def test_model_with_a_repeated_token_is_refused_when_made():
     model = nb_train([Counter("ab"), Counter("bc")], [0, 1])
-    tokens, log_prob = model.tokens, model.token_log_prob.copy()
-    if fault == "repeated-token":
-        tokens = (tokens[1],) + tokens[1:]  # the index would score "a" nowhere
-    else:
-        log_prob[1, 0] = np.nan
-    with pytest.raises(DataError, match="unique" if fault == "repeated-token" else "NaN or Inf"):
-        NaiveBayesModel(model.class_log_prior, log_prob, tokens)
+    tokens = (model.tokens[1],) + model.tokens[1:]  # the index would score "a" nowhere
+    with pytest.raises(DataError, match="unique"):
+        NaiveBayesModel(model.class_log_prior, model.token_log_prob, tokens)
